@@ -55,7 +55,7 @@ let () =
      input in the Itanium-like simulator.  Outputs are checked equal.@.";
   (* one artifact store for the whole sweep: both levels of a workload
      share its lower/apply stages, the alat build reuses the train
-     profile, and the ablation subset below rides the same store *)
+     profile, and the ablation rows below ride the same store *)
   let cache = Stage.create ~capacity:1024 () in
   let sweep_t0 = Unix.gettimeofday () in
   let results = Experiments.run_all ~cache workloads in
@@ -117,41 +117,18 @@ let () =
           List.mem w.Workload.name [ "gzip"; "mcf"; "ammp"; "twolf" ])
         workloads
     in
-    section "Ablation A: invala.e strategy (Figure 2) on/off";
-    Fmt.pr "%s@." (Experiments.ablation_invala subset);
-    section "Ablation B: software run-time disambiguation vs ALAT";
-    Fmt.pr "%s@." (Experiments.ablation_software subset);
-    section "Ablation C: conservative PRE vs software checks";
-    Fmt.pr "%s@." (Experiments.ablation_conservative subset);
-    section "Ablation D: heuristic speculation vs alias profile";
-    Fmt.pr "%s@." (Experiments.ablation_heuristic subset);
-    section "Ablation E: control speculation (ld.sa) on/off";
-    Fmt.pr "%s@." (Experiments.ablation_control_spec subset);
-    section "Ablation F: cascade promotion (section 2.4) on/off";
-    Fmt.pr "%s@." (Experiments.ablation_cascade subset);
-    Fmt.pr
-      "The kernels contain no cascade patterns (promoted data behind a
+    List.iter
+      (fun (c : Experiments.comparison) ->
+        section c.Experiments.title;
+        Fmt.pr "%s@." (Experiments.run_comparison ~cache c subset);
+        if c.Experiments.label_b = "cascade" then
+          Fmt.pr
+            "The kernels contain no cascade patterns (promoted data behind a
        speculatively promoted pointer), mirroring the paper's section 4 note
        that its implementation kept cascades disabled.  The mechanism itself
        (chk.a + recovery routines, Figure 4) is exercised by the dedicated
-       tests in test/test_core.ml.@.";
-    section "Ablation G: pre-bundle list scheduling on/off";
-    Fmt.pr "%s@." (Experiments.ablation_sched subset);
-    section "Ablation H: probabilistic expected-value speculation gate on/off";
-    Fmt.pr "%s@." (Experiments.ablation_prob subset);
-    section "Threshold sweep: cycles at ALAT as spec_threshold varies";
-    Fmt.pr "%s@."
-      (Experiments.threshold_sweep
-         ~thresholds:[ 0.0; 0.01; 0.05; 0.25; 1.0 ] subset);
-    Fmt.pr
-      "t=0.0 admits only never-conflicting sites (the binary verdict plus\n\
-       the check-traffic tax); t=1.0 — the default — delegates admission\n\
-       wholly to the expected-value ledger.  Conflict rates in these\n\
-       kernels are bimodal, either ~0 or ~1, so every threshold strictly\n\
-       between behaves like t=0.0; at t=1.0 the always-conflict kills\n\
-       enter the ledger, where the dual-scope rule prices each crossing\n\
-       against the binary shape and only ever drops promotions whose\n\
-       check traffic beats their saved latency.@."
+       tests in test/test_core.ml.@.")
+      Experiments.ablation_table
   end;
   (* --- Bechamel micro-benchmarks of the compiler phases --- *)
   section "Compiler-phase micro-benchmarks (Bechamel)";

@@ -28,13 +28,13 @@ let read_file path =
 
 let level_conv =
   let parse s =
-    match s with
-    | "O0" -> Ok Pipeline.O0
-    | "conservative" -> Ok Pipeline.Conservative
-    | "baseline" -> Ok Pipeline.Baseline
-    | "alat" -> Ok Pipeline.Alat
-    | "alat-heuristic" -> Ok Pipeline.Alat_heuristic
-    | _ -> Error (`Msg (Fmt.str "unknown level %s" s))
+    match Pipeline.level_of_string s with
+    | Some l -> Ok l
+    | None ->
+      Error
+        (`Msg
+          (Fmt.str "unknown level %s (expected one of: %s)" s
+             (String.concat ", " (List.map Pipeline.level_name Pipeline.all_levels))))
   in
   Arg.conv (parse, fun ppf l -> Fmt.string ppf (Pipeline.level_name l))
 

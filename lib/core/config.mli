@@ -32,7 +32,6 @@ type t = {
   max_rounds : int;
       (** bottom-up promotion rounds: 1 covers direct references only,
           3 covers [*p] and [**q] chains (section 3.2) *)
-  cold_ratio : float;  (** reserved tuning knob for edge coldness *)
   cascade : bool;
       (** promote across checks of the address temp itself: the pointer's
           check becomes chk.a with a recovery routine reloading pointer and
@@ -49,17 +48,13 @@ type t = {
           frames growing past it turn promotions into spill/fill cycles *)
   prob : bool;
       (** expected-value speculation gating over the probabilistic
-          profile: kills speculate while their observed conflict rate
-          stays at or under [spec_threshold], every check a candidate
-          would plant is debited from its benefit (issue-slot tax plus
-          P(conflict) x recovery price), and each candidate commits the
-          cheaper of the threshold scope and the binary scope.  [false]
+          profile: kills may speculate whatever their observed conflict
+          rate, every check a candidate would plant is debited from its
+          benefit (issue-slot tax plus P(conflict) x recovery price), and
+          each candidate commits the cheaper of that scope and the binary
+          scope (only never-conflicting kills speculate).  [false]
           reproduces the binary-verdict pipeline bit for bit (the
           --no-prob ablation). *)
-  spec_threshold : float;
-      (** maximum tolerated per-execution conflict probability for a
-          speculated kill; 1.0 (the default) delegates admission wholly
-          to the expected-value ledger (swept in EXPERIMENTS.md) *)
   recovery_penalty : int;
       (** cycles one failed check costs beyond the reload itself — the
           machine's branch-to-recovery flush, 16 on the modeled
@@ -70,8 +65,6 @@ type t = {
       (** over the threshold, the cycles one claimed register costs: per
           overflowing call for the RSE-stacked integer class, per
           occurrence (memory spill round-trip) for floats *)
-  estimator : int;
-      (** version tag of the pressure estimator, part of the content key *)
 }
 
 (** PRE register promotion with no speculation of any kind. *)

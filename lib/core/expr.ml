@@ -59,8 +59,8 @@ type event =
          expression's footprint (max over the intersecting locations):
          the chance one execution of the kill invalidates the promoted
          value.  0 for hard kills and under the binary-verdict policy;
-         under probability gating, spec kills carry 0 < prob <=
-         spec_threshold and the assessor debits their expected
+         under probability gating, spec kills carry 0 < prob <= the
+         gate's threshold and the assessor debits their expected
          check-recovery cost from the candidate's benefit. *)
       prob : float;
       store : (Ops.addr * Ops.operand) option; (* for software checks *)

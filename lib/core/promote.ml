@@ -63,12 +63,13 @@ let block_count_fn (config : Config.t) =
    original candidate order, so temp and site generation stay
    deterministic. *)
 (* Per-candidate scope choice under probability gating.  Each candidate is
-   assessed twice: once with the configured threshold (kills up to
-   P <= thr crossed speculatively) and once at thr = 0, the binary-verdict
-   scope priced under the same check-traffic model.  Every downstream gate
-   — the expected-value rejection, the ranking, the pressure comparison —
-   reads the threshold-scope assessment: that scope is what the policy
-   asked for, and its debit is the candidate's honest price.  The
+   assessed twice: once at the gate's threshold (kills up to P <= thr
+   crossed speculatively; [run] always asks for thr = 1) and once at
+   thr = 0, the binary-verdict scope priced under the same check-traffic
+   model.  Every downstream gate — the expected-value rejection, the
+   ranking, the pressure comparison — reads the threshold-scope
+   assessment: that scope is what the policy asked for, and its debit is
+   the candidate's honest price.  The
    *committed* shape, though, is whichever scope nets more, ties to
    binary — a probabilistic extension must pay for itself or the
    candidate keeps its legacy shape.  When even the gate says the
@@ -233,12 +234,17 @@ let run ?(config = Config.baseline) ?pressure (prog : Program.t) : result =
               (* Probability gating needs measured frequencies: it is
                  live only for the profiled ALAT level.  The heuristic
                  policy's synthetic 0/1 verdicts carry no expectation to
-                 price, so alat-heuristic keeps the binary pipeline. *)
+                 price, so alat-heuristic keeps the binary pipeline.  The
+                 threshold is fixed at 1.0: every conflicting kill may be
+                 crossed, and admission is left wholly to the
+                 expected-value ledger (EXPERIMENTS.md's threshold sweep:
+                 measured conflict rates are bimodal, so any lower
+                 threshold behaves like 0). *)
               let prob_gate =
                 match (config.Config.policy, config.Config.check_style) with
                 | Config.Spec_profile _, Config.Alat
                   when config.Config.prob ->
-                  Some config.Config.spec_threshold
+                  Some 1.0
                 | _ -> None
               in
               let collect =

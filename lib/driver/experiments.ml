@@ -1,8 +1,9 @@
 (* The paper's experiment suite: one function per figure, plus the
-   ablations DESIGN.md commits to.  Each experiment runs the full pipeline
-   (profile on train, compile, execute on ref in the machine simulator)
-   and checks output equality between builds as it goes — a bench run
-   doubles as an end-to-end correctness check. *)
+   ablation table DESIGN.md commits to.  Each experiment runs the staged
+   pipeline ({!Pipeline.profile_compile_run}: profile on train, compile,
+   execute on ref in the machine simulator) and checks output equality
+   between builds as it goes — a bench run doubles as an end-to-end
+   correctness check. *)
 
 module C = Srp_machine.Counters
 
@@ -55,6 +56,17 @@ let pool_map ~(ntasks : int) (f : int -> 'a) : ('a, exn) result array =
   List.iter Domain.join domains;
   Array.map (function Some r -> r | None -> assert false) slots
 
+(* The two builds of every comparison must print the same output. *)
+let check_outputs ~what (w : Workload.t) (a : Pipeline.run_result)
+    (b : Pipeline.run_result) =
+  if a.Pipeline.output <> b.Pipeline.output then
+    raise
+      (Output_mismatch (Fmt.str "%s: %s outputs differ!" w.Workload.name what))
+
+let pair w base spec =
+  check_outputs ~what:"baseline and speculative" w base spec;
+  { w; base; spec }
+
 (* Run one workload at baseline and ALAT levels and check equivalence.
    [ablations] apply to the speculative build only — the baseline stays
    the fixed reference the figures are normalized against.  [cache]
@@ -69,11 +81,7 @@ let run_pair ?fuel ?cache ?ablations ?sched ?prob (w : Workload.t) :
     Pipeline.profile_compile_run ?fuel ?cache ?ablations ?sched ?prob w
       Pipeline.Alat
   in
-  if base.Pipeline.output <> spec.Pipeline.output then
-    raise
-      (Output_mismatch
-         (Fmt.str "%s: baseline and speculative outputs differ!" w.Workload.name));
-  { w; base; spec }
+  pair w base spec
 
 (* Run the whole suite from a pool of worker domains (pool_map).  The
    work unit is one (workload, level) build-and-run — two tasks per
@@ -99,14 +107,7 @@ let run_all ?fuel ?cache ?sched ?prob (workloads : Workload.t list) :
   let result i =
     match slots.(i) with Ok r -> r | Error e -> raise e
   in
-  List.init n (fun k ->
-      let base = result (2 * k) and spec = result ((2 * k) + 1) in
-      if base.Pipeline.output <> spec.Pipeline.output then
-        raise
-          (Output_mismatch
-             (Fmt.str "%s: baseline and speculative outputs differ!"
-                ws.(k).Workload.name));
-      { w = ws.(k); base; spec })
+  List.init n (fun k -> pair ws.(k) (result (2 * k)) (result ((2 * k) + 1)))
 
 (* --- the four figures --- *)
 
@@ -151,184 +152,75 @@ let figure11 (rs : bench_result list) : string =
 
 (* --- ablations --- *)
 
-(* Generic comparison of two configs over a workload list; rows of
-   (name, cycles_a, cycles_b, reduction%). *)
-let compare_configs ?fuel ~(mk_a : Srp_profile.Alias_profile.t -> Srp_core.Config.t option)
-    ~(mk_b : Srp_profile.Alias_profile.t -> Srp_core.Config.t option)
-    (workloads : Workload.t list) : (string * int * int * float) list =
-  List.map
-    (fun w ->
-      let profile = Pipeline.train_profile w in
-      let run mk =
-        let ir = Srp_frontend.Lower.compile_source w.Workload.source in
-        Workload.apply_input ir w.Workload.ref_;
-        (match mk profile with
-        | Some config ->
-          ignore
-            (Srp_core.Promote.run ~config ~pressure:(Pipeline.pressure_fn ir)
-               ir)
-        | None -> ());
-        let target = Srp_target.Codegen.gen_program ir in
-        Srp_machine.Machine.run_program ?fuel target
-      in
-      let _, out_a, ca = run mk_a in
-      let _, out_b, cb = run mk_b in
-      if out_a <> out_b then
-        raise (Output_mismatch (Fmt.str "%s: ablation outputs differ!" w.Workload.name));
-      let red =
-        100.0 *. float_of_int (ca.C.cycles - cb.C.cycles) /. float_of_int (max 1 ca.C.cycles)
-      in
-      (w.Workload.name, ca.C.cycles, cb.C.cycles, red))
-    workloads
+(* One side of an ablation: a level plus the overrides
+   {!Pipeline.profile_compile_run} takes.  Every ablation is a pair of
+   these values on the one staged pipeline — no experiment builds code
+   any other way. *)
+type build = {
+  level : Pipeline.level;
+  ablations : Pipeline.ablation list;
+  sched : bool;
+  prob : bool;
+}
 
-let render_compare ~label_a ~label_b rows =
-  Srp_support.Pp_util.render_table
-    ~header:[ "benchmark"; label_a ^ " cycles"; label_b ^ " cycles"; "gain %" ]
-    ~rows:
-      (List.map
-         (fun (n, a, b, red) ->
-           [ n; string_of_int a; string_of_int b; Fmt.str "%.2f" red ])
-         rows)
+let alat = { level = Pipeline.Alat; ablations = []; sched = true; prob = true }
+let at level = { alat with level }
 
-(* Ablation A: invala.e strategy on/off. *)
-let ablation_invala ?fuel workloads =
-  compare_configs ?fuel
-    ~mk_a:(fun p -> Some { (Srp_core.Config.alat ~profile:p) with Srp_core.Config.use_invala = false })
-    ~mk_b:(fun p -> Some (Srp_core.Config.alat ~profile:p))
-    workloads
-  |> render_compare ~label_a:"no-invala" ~label_b:"invala"
+(* One row of the ablation table: build [a] against build [b], reported
+   as cycles under the two labels and b's gain over a. *)
+type comparison = {
+  title : string;
+  label_a : string;
+  a : build;
+  label_b : string;
+  b : build;
+}
 
-(* Ablation B: software run-time disambiguation vs ALAT speculation. *)
-let ablation_software ?fuel workloads =
-  compare_configs ?fuel
-    ~mk_a:(fun _ -> Some Srp_core.Config.baseline)
-    ~mk_b:(fun p -> Some (Srp_core.Config.alat ~profile:p))
-    workloads
-  |> render_compare ~label_a:"software" ~label_b:"alat"
+let ablation_table =
+  [ { title = "Ablation A: invala.e strategy (Figure 2) on/off";
+      label_a = "no-invala"; a = { alat with ablations = [ Pipeline.No_invala ] };
+      label_b = "invala"; b = alat };
+    { title = "Ablation B: software run-time disambiguation vs ALAT";
+      label_a = "software"; a = at Pipeline.Baseline;
+      label_b = "alat"; b = alat };
+    { title = "Ablation C: conservative PRE vs software checks";
+      label_a = "conservative"; a = at Pipeline.Conservative;
+      label_b = "software"; b = at Pipeline.Baseline };
+    { title = "Ablation D: heuristic speculation vs alias profile";
+      label_a = "heuristic"; a = at Pipeline.Alat_heuristic;
+      label_b = "profile"; b = alat };
+    { title = "Ablation E: control speculation (ld.sa) on/off";
+      label_a = "no-ld.sa";
+      a = { alat with ablations = [ Pipeline.No_control_spec ] };
+      label_b = "ld.sa"; b = alat };
+    { title = "Ablation F: cascade promotion (section 2.4) on/off";
+      label_a = "no-cascade"; a = alat;
+      label_b = "cascade"; b = { alat with ablations = [ Pipeline.Cascade ] } };
+    { title = "Ablation G: pre-bundle list scheduling on/off";
+      label_a = "no-sched"; a = { alat with sched = false };
+      label_b = "sched"; b = alat };
+    { title = "Ablation H: probabilistic expected-value speculation gate on/off";
+      label_a = "no-prob"; a = { alat with prob = false };
+      label_b = "prob"; b = alat } ]
 
-(* Ablation C: value of the software checks themselves (conservative PRE vs
-   baseline). *)
-let ablation_conservative ?fuel workloads =
-  compare_configs ?fuel
-    ~mk_a:(fun _ -> Some Srp_core.Config.conservative)
-    ~mk_b:(fun _ -> Some Srp_core.Config.baseline)
-    workloads
-  |> render_compare ~label_a:"conservative" ~label_b:"software"
-
-(* Ablation D: heuristic speculation (no profile) vs profile-driven. *)
-let ablation_heuristic ?fuel workloads =
-  compare_configs ?fuel
-    ~mk_a:(fun _ -> Some Srp_core.Config.alat_heuristic)
-    ~mk_b:(fun p -> Some (Srp_core.Config.alat ~profile:p))
-    workloads
-  |> render_compare ~label_a:"heuristic" ~label_b:"profile"
-
-(* Ablation E: control speculation (ld.sa hoisting) on/off. *)
-let ablation_control_spec ?fuel workloads =
-  compare_configs ?fuel
-    ~mk_a:(fun p -> Some { (Srp_core.Config.alat ~profile:p) with Srp_core.Config.control_spec = false })
-    ~mk_b:(fun p -> Some (Srp_core.Config.alat ~profile:p))
-    workloads
-  |> render_compare ~label_a:"no-ld.sa" ~label_b:"ld.sa"
-
-(* Ablation F: cascade promotion (section 2.4) on/off. *)
-let ablation_cascade ?fuel workloads =
-  compare_configs ?fuel
-    ~mk_a:(fun p -> Some (Srp_core.Config.alat ~profile:p))
-    ~mk_b:(fun p -> Some (Srp_core.Config.alat_cascade ~profile:p))
-    workloads
-  |> render_compare ~label_a:"no-cascade" ~label_b:"cascade"
-
-(* Ablation G: the pre-bundle list scheduler on/off.  Unlike A-F this is
-   a backend knob, not a promotion config — both runs are the full ALAT
-   pipeline, differing only in whether sched.ml reorders each block
-   before bundling.  The differential tests pin the two builds to the
-   same outputs and non-cycle counters, so the delta here is pure
-   latency hiding plus tighter packing. *)
-let ablation_sched ?fuel workloads =
-  List.map
-    (fun w ->
-      let off = Pipeline.profile_compile_run ?fuel ~sched:false w Pipeline.Alat in
-      let on = Pipeline.profile_compile_run ?fuel ~sched:true w Pipeline.Alat in
-      if off.Pipeline.output <> on.Pipeline.output then
-        raise
-          (Output_mismatch
-             (Fmt.str "%s: sched ablation outputs differ!" w.Workload.name));
-      let ca = off.Pipeline.counters.C.cycles
-      and cb = on.Pipeline.counters.C.cycles in
-      let red =
-        100.0 *. float_of_int (ca - cb) /. float_of_int (max 1 ca)
-      in
-      (w.Workload.name, ca, cb, red))
-    workloads
-  |> render_compare ~label_a:"no-sched" ~label_b:"sched"
-
-(* Ablation H: the probabilistic expected-value speculation gate on/off.
-   Both runs are the full ALAT pipeline; off is the binary may-touch
-   verdict (the pre-frequency behavior, [--no-prob]), on folds per-site
-   conflict rates into the speculation decision and the promotion
-   ledger. *)
-let ablation_prob ?fuel workloads =
-  List.map
-    (fun w ->
-      let off = Pipeline.profile_compile_run ?fuel ~prob:false w Pipeline.Alat in
-      let on = Pipeline.profile_compile_run ?fuel ~prob:true w Pipeline.Alat in
-      if off.Pipeline.output <> on.Pipeline.output then
-        raise
-          (Output_mismatch
-             (Fmt.str "%s: prob ablation outputs differ!" w.Workload.name));
-      let ca = off.Pipeline.counters.C.cycles
-      and cb = on.Pipeline.counters.C.cycles in
-      let red = 100.0 *. float_of_int (ca - cb) /. float_of_int (max 1 ca) in
-      (w.Workload.name, ca, cb, red))
-    workloads
-  |> render_compare ~label_a:"no-prob" ~label_b:"prob"
-
-(* Threshold sweep: cycles at ALAT as [spec_threshold] varies, against
-   the binary-verdict column (no-prob), one row per workload.  The sweep
-   drives {!Srp_core.Promote.run} directly (like ablations A-F) so each
-   cell differs only in the promotion decision, and checks program
-   output equality across every cell. *)
-let threshold_sweep ?fuel ~(thresholds : float list)
-    (workloads : Workload.t list) : string =
-  let rows =
-    List.map
-      (fun w ->
-        let profile = Pipeline.train_profile w in
-        let run config =
-          let ir = Srp_frontend.Lower.compile_source w.Workload.source in
-          Workload.apply_input ir w.Workload.ref_;
-          ignore
-            (Srp_core.Promote.run ~config ~pressure:(Pipeline.pressure_fn ir)
-               ir);
-          let target = Srp_target.Codegen.gen_program ir in
-          Srp_machine.Machine.run_program ?fuel target
-        in
-        let alat = Srp_core.Config.alat ~profile in
-        let _, out0, c0 = run { alat with Srp_core.Config.prob = false } in
-        let cells =
-          List.map
-            (fun t ->
-              let _, out, c =
-                run { alat with Srp_core.Config.spec_threshold = t }
-              in
-              if out <> out0 then
-                raise
-                  (Output_mismatch
-                     (Fmt.str "%s: threshold-sweep outputs differ at %.3f!"
-                        w.Workload.name t));
-              c.C.cycles)
-            thresholds
-        in
-        (w.Workload.name, c0.C.cycles, cells))
-      workloads
+(* Run one comparison over [workloads] and render its table.  [cache]
+   lets every row share stage artifacts: the lowered sources, the train
+   profiles and the builds that recur across rows. *)
+let run_comparison ?fuel ?cache (c : comparison) (workloads : Workload.t list)
+    : string =
+  let run w (b : build) =
+    Pipeline.profile_compile_run ?fuel ?cache ~ablations:b.ablations
+      ~sched:b.sched ~prob:b.prob w b.level
+  in
+  let row w =
+    let ra = run w c.a and rb = run w c.b in
+    check_outputs ~what:"ablation" w ra rb;
+    let ca = ra.Pipeline.counters.C.cycles
+    and cb = rb.Pipeline.counters.C.cycles in
+    let red = 100.0 *. float_of_int (ca - cb) /. float_of_int (max 1 ca) in
+    [ w.Workload.name; string_of_int ca; string_of_int cb; Fmt.str "%.2f" red ]
   in
   Srp_support.Pp_util.render_table
     ~header:
-      ("benchmark" :: "no-prob cycles"
-      :: List.map (fun t -> Fmt.str "t=%.3f" t) thresholds)
-    ~rows:
-      (List.map
-         (fun (n, c0, cells) ->
-           n :: string_of_int c0 :: List.map string_of_int cells)
-         rows)
+      [ "benchmark"; c.label_a ^ " cycles"; c.label_b ^ " cycles"; "gain %" ]
+    ~rows:(List.map row workloads)

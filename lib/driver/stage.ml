@@ -83,26 +83,26 @@ module Key = struct
       | Srp_core.Config.Spec_profile p ->
         "profile:" ^ Digest.to_hex (Digest.string (Alias_profile.save p))
     in
-    (* "v3": the probabilistic expected-value gate knobs joined the
-       config (prob / spec_threshold / recovery_penalty); "v2" added the
-       pressure-gate parameters.  Every knob that can change the
-       promoter's output must be here, or a tuned threshold could be
-       served a stale cached promote artifact. *)
+    (* "v4": the unread [cold_ratio] knob and the fixed [spec_threshold]
+       (always 1.0) left the config, and the pressure estimator's version
+       tag ([estimator], formerly a config field) folded into this
+       version string — bump it whenever the estimator changes.  "v3":
+       the probabilistic expected-value gate knobs joined the config;
+       "v2" added the pressure-gate parameters.  Every knob that can
+       change the promoter's output must be here, or a tuned threshold
+       could be served a stale cached promote artifact. *)
     digest
-      [ "config"; "v3"; style; policy;
+      [ "config"; "v4"; style; policy;
         string_of_bool c.Srp_core.Config.control_spec;
         string_of_bool c.Srp_core.Config.use_invala;
         string_of_int c.Srp_core.Config.max_rounds;
-        Printf.sprintf "%h" c.Srp_core.Config.cold_ratio;
         string_of_bool c.Srp_core.Config.cascade;
         string_of_bool c.Srp_core.Config.pressure;
         string_of_int c.Srp_core.Config.pressure_threshold;
         string_of_int c.Srp_core.Config.lat_l1;
         string_of_int c.Srp_core.Config.lat_fp;
         string_of_int c.Srp_core.Config.spill_cost;
-        string_of_int c.Srp_core.Config.estimator;
         string_of_bool c.Srp_core.Config.prob;
-        Printf.sprintf "%h" c.Srp_core.Config.spec_threshold;
         string_of_int c.Srp_core.Config.recovery_penalty ]
 
   let promote ~(applied_key : string) ~(config : string) =

@@ -28,12 +28,45 @@ type entry = {
 
 type counter = entry
 
+(* One registry type serves the process-global table and every per-job
+   scope below. *)
 type registry = {
   tbl : (string * string, entry) Hashtbl.t;
   mutable order : entry list; (* reverse insertion order *)
 }
 
-let reg = { tbl = Hashtbl.create 64; order = [] }
+let create_registry () = { tbl = Hashtbl.create 64; order = [] }
+
+(* The caller holds whatever lock guards [r]. *)
+let find_or_add r ~pass ~name ~desc kind =
+  match Hashtbl.find_opt r.tbl (pass, name) with
+  | Some e -> e
+  | None ->
+    let e = { pass; name; desc; kind; count = 0; secs = 0.0 } in
+    Hashtbl.replace r.tbl (pass, name) e;
+    r.order <- e :: r.order;
+    e
+
+(* Sorted, not insertion-ordered: with domains racing to register
+   counters, insertion order is run-dependent; (pass, name) is not. *)
+let sorted_entries r =
+  List.sort (fun a b -> compare (a.pass, a.name) (b.pass, b.name)) r.order
+
+let registry_json r : Json.t =
+  Json.Arr
+    (List.map
+       (fun e ->
+         Json.Obj
+           ([ ("pass", Json.String e.pass); ("name", Json.String e.name) ]
+           @ (if e.desc = "" then [] else [ ("desc", Json.String e.desc) ])
+           @
+           match e.kind with
+           | Counter -> [ ("value", Json.Int e.count) ]
+           | Timer ->
+             [ ("seconds", Json.Float e.secs); ("calls", Json.Int e.count) ]))
+       (sorted_entries r))
+
+let reg = create_registry ()
 let lock = Mutex.create ()
 let locked f = Mutex.protect lock f
 
@@ -41,112 +74,70 @@ let locked f = Mutex.protect lock f
 
    The process-global registry conflates concurrent daemon jobs: `srp
    serve` compiles from a pool of domains, and a response must report the
-   pass statistics of *its* job only.  A scope is a domain-local shadow
-   registry: while active, every bump lands in both the global table and
-   the scope, so existing instrumentation sites need no changes.  Scopes
-   are per-domain (Domain.DLS), and each worker domain runs one job at a
-   time, so two concurrent jobs never bleed counters into each other.
-   Work a job *waits on* rather than executes (a cache hit on another
-   domain's in-flight stage build) is charged to the builder's scope, not
-   the waiter's — scope stats mean "work this job performed". *)
+   pass statistics of *its* job only.  A scope is a registry of its own,
+   active on one domain: while active, every bump lands in both the global
+   table and the scope, so existing instrumentation sites need no changes.
+   Scopes are per-domain (Domain.DLS), and each worker domain runs one job
+   at a time, so two concurrent jobs never bleed counters into each other
+   and a scope needs no lock.  Work a job *waits on* rather than executes
+   (a cache hit on another domain's in-flight stage build) is charged to
+   the builder's scope, not the waiter's — scope stats mean "work this job
+   performed". *)
 
 module Scope = struct
-  type sentry = {
-    s_pass : string;
-    s_name : string;
-    s_kind : kind;
-    mutable s_count : int;
-    mutable s_secs : float;
-  }
-
-  type t = { stbl : (string * string, sentry) Hashtbl.t }
-
-  let create () = { stbl = Hashtbl.create 16 }
-
-  let entry scope ~pass ~name kind =
-    match Hashtbl.find_opt scope.stbl (pass, name) with
-    | Some e -> e
-    | None ->
-      let e = { s_pass = pass; s_name = name; s_kind = kind; s_count = 0; s_secs = 0.0 } in
-      Hashtbl.replace scope.stbl (pass, name) e;
-      e
+  type t = registry
 
   (* (pass, name, count, seconds), sorted by (pass, name) like the global
      report. *)
   let entries scope =
-    Hashtbl.fold (fun _ e acc -> e :: acc) scope.stbl []
-    |> List.sort (fun a b -> compare (a.s_pass, a.s_name) (b.s_pass, b.s_name))
-    |> List.map (fun e -> (e.s_pass, e.s_name, e.s_count, e.s_secs))
+    List.map (fun e -> (e.pass, e.name, e.count, e.secs)) (sorted_entries scope)
 
   let value scope ~pass name =
-    match Hashtbl.find_opt scope.stbl (pass, name) with
-    | Some e -> e.s_count
+    match Hashtbl.find_opt scope.tbl (pass, name) with
+    | Some e -> e.count
     | None -> 0
 
-  let to_json scope : Json.t =
-    Json.Arr
-      (List.map
-         (fun (pass, name, count, secs) ->
-           Json.Obj
-             ([ ("pass", Json.String pass); ("name", Json.String name) ]
-             @
-             if secs = 0.0 then [ ("value", Json.Int count) ]
-             else [ ("seconds", Json.Float secs); ("calls", Json.Int count) ]))
-         (entries scope))
+  let to_json = registry_json
 end
 
 (* The active scope of the calling domain, if any.  Only touched by its
-   own domain, so no locking beyond the global mutex already held at the
-   bump sites. *)
+   own domain. *)
 let scope_key : Scope.t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
-
-let current_scope () = !(Domain.DLS.get scope_key)
 
 let with_scope (f : unit -> 'a) : 'a * Scope.t =
   let slot = Domain.DLS.get scope_key in
   let saved = !slot in
-  let scope = Scope.create () in
+  let scope = create_registry () in
   slot := Some scope;
   let v =
     Fun.protect ~finally:(fun () -> slot := saved) f
   in
   (v, scope)
 
-let scoped ~pass ~name kind (bump : Scope.sentry -> unit) =
-  match current_scope () with
+(* Apply [bump] to the global entry [c] and, when a scope is active on
+   this domain, to its twin there. *)
+let update (c : entry) (bump : entry -> unit) =
+  locked (fun () -> bump c);
+  match !(Domain.DLS.get scope_key) with
   | None -> ()
-  | Some scope -> bump (Scope.entry scope ~pass ~name kind)
+  | Some scope ->
+    bump (find_or_add scope ~pass:c.pass ~name:c.name ~desc:c.desc c.kind)
 
 let reset () =
   locked @@ fun () ->
   Hashtbl.reset reg.tbl;
   reg.order <- []
 
-let find_or_add ~pass ~name ~desc kind =
-  locked @@ fun () ->
-  match Hashtbl.find_opt reg.tbl (pass, name) with
-  | Some e -> e
-  | None ->
-    let e = { pass; name; desc; kind; count = 0; secs = 0.0 } in
-    Hashtbl.replace reg.tbl (pass, name) e;
-    reg.order <- e :: reg.order;
-    e
-
 let counter ?(desc = "") ~pass name : counter =
-  find_or_add ~pass ~name ~desc Counter
+  locked @@ fun () -> find_or_add reg ~pass ~name ~desc Counter
 
-let add (c : counter) n =
-  locked (fun () -> c.count <- c.count + n);
-  scoped ~pass:c.pass ~name:c.name c.kind (fun e ->
-      e.Scope.s_count <- e.Scope.s_count + n)
+let add (c : counter) n = update c (fun e -> e.count <- e.count + n)
 
 let incr c = add c 1
 
 let set_max (c : counter) n =
-  locked (fun () -> if n > c.count then c.count <- n);
-  scoped ~pass:c.pass ~name:c.name c.kind (fun e ->
-      if n > e.Scope.s_count then e.Scope.s_count <- n)
+  update c (fun e -> if n > e.count then e.count <- n)
 
 let value (c : counter) = locked @@ fun () -> c.count
 
@@ -164,24 +155,17 @@ let find ~pass name =
    ("pass.name") when a tracer is installed, so pass phases appear in
    the flamegraph with no extra instrumentation. *)
 let time ~pass name f =
-  let e = find_or_add ~pass ~name ~desc:"" Timer in
+  let e = locked @@ fun () -> find_or_add reg ~pass ~name ~desc:"" Timer in
   let t0 = Clock.now () in
   Fun.protect
     ~finally:(fun () ->
       let dt = Clock.now () -. t0 in
-      locked (fun () ->
+      update e (fun e ->
           e.secs <- e.secs +. dt;
-          e.count <- e.count + 1);
-      scoped ~pass ~name Timer (fun s ->
-          s.Scope.s_secs <- s.Scope.s_secs +. dt;
-          s.Scope.s_count <- s.Scope.s_count + 1))
+          e.count <- e.count + 1))
     (fun () -> Span.with_span ~cat:"pass" (pass ^ "." ^ name) f)
 
-(* Sorted, not insertion-ordered: with domains racing to register
-   counters, insertion order is run-dependent; (pass, name) is not. *)
-let entries () =
-  locked (fun () -> reg.order)
-  |> List.sort (fun a b -> compare (a.pass, a.name) (b.pass, b.name))
+let entries () = locked (fun () -> sorted_entries reg)
 
 let report () : string =
   let rows =
@@ -220,16 +204,4 @@ let report () : string =
     List.iter render rows;
     Buffer.contents buf
 
-let to_json () : Json.t =
-  Json.Arr
-    (List.map
-       (fun e ->
-         Json.Obj
-           ([ ("pass", Json.String e.pass); ("name", Json.String e.name) ]
-           @ (if e.desc = "" then [] else [ ("desc", Json.String e.desc) ])
-           @
-           match e.kind with
-           | Counter -> [ ("value", Json.Int e.count) ]
-           | Timer ->
-             [ ("seconds", Json.Float e.secs); ("calls", Json.Int e.count) ]))
-       (entries ()))
+let to_json () : Json.t = locked (fun () -> registry_json reg)

@@ -45,8 +45,8 @@ val reset : unit -> unit
 
     The registry is process-global, which conflates concurrent daemon
     jobs: an [srp serve] response must carry the pass statistics of its
-    own job only.  {!with_scope} installs a domain-local shadow registry
-    for the extent of [f]: every counter bump and timer tick inside [f]
+    own job only.  {!with_scope} installs a domain-local registry of its
+    own for the extent of [f]: every counter bump and timer tick inside [f]
     (on this domain) lands in both the global table and the returned
     scope.  Scopes are per-domain, so jobs running on different worker
     domains never bleed into each other's scopes; work a job waits on

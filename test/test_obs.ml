@@ -571,6 +571,36 @@ let test_cli_run_json () =
     | _ -> Alcotest.fail "cli json has no retired loads"
   end
 
+(* A bad [-l] value is a usage error that names every valid level, the
+   list coming from [Pipeline.all_levels]. *)
+let test_cli_unknown_level () =
+  let bin = Filename.concat (Filename.concat ".." "bin") "srp.exe" in
+  if not (Sys.file_exists bin) then ()
+  else begin
+    let src = Filename.temp_file "srp_obs_cli" ".minic" in
+    let err = Filename.temp_file "srp_obs_cli" ".err" in
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.remove src;
+        Sys.remove err)
+    @@ fun () ->
+    let cmd =
+      Fmt.str "%s run %s -l O9 >/dev/null 2>%s" (Filename.quote bin)
+        (Filename.quote src) (Filename.quote err)
+    in
+    Alcotest.(check bool) "nonzero exit" true (Sys.command cmd <> 0);
+    let ic = open_in_bin err in
+    let msg = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Alcotest.(check bool) "names the bad value" true
+      (contains ~needle:"unknown level O9" msg);
+    List.iter
+      (fun l ->
+        let name = Pipeline.level_name l in
+        Alcotest.(check bool) ("lists " ^ name) true (contains ~needle:name msg))
+      Pipeline.all_levels
+  end
+
 let suite =
   [ Alcotest.test_case "json: round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json: special floats" `Quick test_json_special_floats;
@@ -611,4 +641,6 @@ let suite =
       test_run_json_roundtrip;
     Alcotest.test_case "emit: bench json round-trip" `Quick
       test_bench_json_roundtrip;
-    Alcotest.test_case "cli: srp run --json" `Quick test_cli_run_json ]
+    Alcotest.test_case "cli: srp run --json" `Quick test_cli_run_json;
+    Alcotest.test_case "cli: unknown level lists levels" `Quick
+      test_cli_unknown_level ]

@@ -75,6 +75,27 @@ let test_no_prob_differential name () =
           off)
     levels
 
+(* The ablation axis: every promotion-config override at [Alat], plus the
+   scheduler off, staged vs monolithic.  The monolithic build is lower ->
+   apply -> Promote.run ~pressure:(pressure_fn ir) -> gen_program, the
+   chain the bench ablation tables once ran by hand; they now go through
+   the staged pipeline, and this pins the two bit-identical.  One store
+   across the variants, so later builds hit the shared lower, apply and
+   profile artifacts. *)
+let test_ablation_differential name () =
+  let w = small name in
+  let cache = Stage.create () in
+  let check what ?ablations ?sched () =
+    check_identical (name ^ " " ^ what) Pipeline.Alat
+      (Pipeline.profile_compile_run ~cache ?ablations ?sched w Pipeline.Alat)
+      (Pipeline.profile_compile_run_monolithic ?ablations ?sched w
+         Pipeline.Alat)
+  in
+  List.iter
+    (fun a -> check (Pipeline.ablation_name a) ~ablations:[ a ] ())
+    Pipeline.all_ablations;
+  check "no-sched" ~sched:false ()
+
 (* --- content-key soundness (QCheck) --- *)
 
 (* A job descriptor exercising every field the issue names: source,
@@ -184,11 +205,8 @@ let test_stage_keys () =
               { Srp_core.Config.baseline with Srp_core.Config.lat_l1 = 3 };
               { Srp_core.Config.baseline with Srp_core.Config.lat_fp = 12 };
               { Srp_core.Config.baseline with Srp_core.Config.spill_cost = 6 };
-              { Srp_core.Config.baseline with Srp_core.Config.estimator = 3 };
               (* the probabilistic-gate knobs likewise *)
               { Srp_core.Config.baseline with Srp_core.Config.prob = false };
-              { Srp_core.Config.baseline with
-                Srp_core.Config.spec_threshold = 0.25 };
               { Srp_core.Config.baseline with
                 Srp_core.Config.recovery_penalty = 7 }
             ]));
@@ -331,6 +349,11 @@ let suite =
         Alcotest.test_case (name ^ " --no-prob legacy path") `Slow
           (test_no_prob_differential name))
       kernels
+  @ List.map
+      (fun name ->
+        Alcotest.test_case (name ^ " ablations staged = monolithic") `Slow
+          (test_ablation_differential name))
+      [ "gzip"; "twolf"; "ammp" ]
   @ [ QCheck_alcotest.to_alcotest key_soundness;
       Alcotest.test_case "stage keys invalidate per input" `Quick
         test_stage_keys;

@@ -39,32 +39,21 @@ type t = {
           paper's implementation note in section 4. *)
   pressure : bool;
       (** rank candidates by saved latency and stop promoting once the
-          projected register demand exceeds [pressure_threshold], unless
-          the candidate still pays for its marginal spill.  [false]
-          reproduces promote-everything exactly (the --no-pressure
-          ablation). *)
-  pressure_threshold : int;
-      (** the RSE physical pool (24 stacked registers): co-resident
-          frames growing past it turn promotions into spill/fill cycles *)
+          projected register demand exceeds the RSE physical pool
+          ([Srp_ir.Timing.rse_pool]: co-resident frames growing past it
+          turn promotions into spill/fill cycles), unless the candidate
+          still pays for its marginal spill.  [false] reproduces
+          promote-everything exactly (the --no-pressure ablation). *)
   prob : bool;
       (** expected-value speculation gating over the probabilistic
           profile: kills may speculate whatever their observed conflict
           rate, every check a candidate would plant is debited from its
-          benefit (issue-slot tax plus P(conflict) x recovery price), and
+          benefit (issue-slot tax plus P(conflict) x recovery price, at
+          the machine's own prices from [Srp_ir.Timing]), and
           each candidate commits the cheaper of that scope and the binary
           scope (only never-conflicting kills speculate).  [false]
           reproduces the binary-verdict pipeline bit for bit (the
           --no-prob ablation). *)
-  recovery_penalty : int;
-      (** cycles one failed check costs beyond the reload itself — the
-          machine's branch-to-recovery flush, 16 on the modeled
-          pipeline *)
-  lat_l1 : int;  (** saved cycles per eliminated integer (L1-hit) load *)
-  lat_fp : int;  (** saved cycles per eliminated floating-point load *)
-  spill_cost : int;
-      (** over the threshold, the cycles one claimed register costs: per
-          overflowing call for the RSE-stacked integer class, per
-          occurrence (memory spill round-trip) for floats *)
 }
 
 (** PRE register promotion with no speculation of any kind. *)
@@ -84,21 +73,3 @@ val alat_cascade : profile:Srp_profile.Alias_profile.t -> t
 val alat_heuristic : t
 
 val pp_style : Format.formatter -> check_style -> unit
-
-(** Knobs of the post-regalloc, pre-bundle list scheduler
-    (lib/target/sched.ml): dependence-edge latencies — the same L1-hit
-    figures the promotion cost model prices eliminated loads with — and
-    the critical-path priority bonus that hoists ld.a/ld.sa.  Constant
-    across levels; the scheduler's on/off bit is what the stage and
-    serve keys fingerprint. *)
-module Sched : sig
-  type t = {
-    lat_l1 : int;  (** integer L1-hit load latency, cycles *)
-    lat_fp : int;  (** floating-point L1-hit load latency, cycles *)
-    hoist_bonus : int;
-        (** added to the critical-path height of ld.a/ld.sa so advanced
-            loads issue as early as their block allows *)
-  }
-
-  val default : t
-end

@@ -52,14 +52,14 @@ let block_count_fn (config : Config.t) =
    candidate pays the RSE's marginal price: one more frame register costs
    a spill plus a fill around every overflowing call while the function
    is resident, so the saved load latency must beat
-   [spill_cost x overflow_calls] — the dynamic call traffic the driver's
-   caller measured from the training profile — not a per-occurrence
-   charge (a load eliminated a thousand times per call amortizes its
-   register; a once-per-call load does not).  Float candidates are not
-   RSE-stacked; past the threshold they keep the occurrence-weighted
-   memory-spill comparison (lat_fp beats a spill round-trip, so fp
-   promotion stays profitable, matching the paper's fp-heavy kernels).
-   Accepted candidates commit through the unchanged [run_expr] in
+   [Timing.rse_spill_fill x overflow_calls] — the dynamic call traffic
+   measured from the training profile — not a per-occurrence charge (a
+   load eliminated a thousand times per call amortizes its register; a
+   once-per-call load does not).  Float candidates are not RSE-stacked;
+   past the pool they keep the occurrence-weighted memory-spill
+   comparison at the same price (Timing.lat_fp beats a spill round-trip,
+   so fp promotion stays profitable, matching the paper's fp-heavy
+   kernels).  Accepted candidates commit through the unchanged [run_expr] in
    original candidate order, so temp and site generation stay
    deterministic. *)
 (* Per-candidate scope choice under probability gating.  Each candidate is
@@ -104,7 +104,7 @@ let choose_scope cm_ctx (collect : Expr.collect_ctx) f key :
 let ev_rejected (a : Ssapre.assessment) =
   a.Ssapre.as_conflict > 0 && a.Ssapre.as_benefit <= 0
 
-let select_gated (config : Config.t) cm_ctx collect f keys ~(est : pressure)
+let select_gated cm_ctx collect f keys ~(est : pressure)
     ~(overflow_calls : int) ~(claimed : int ref * int ref) stats : unit =
   let assessed =
     List.mapi
@@ -140,8 +140,8 @@ let select_gated (config : Config.t) cm_ctx collect f keys ~(est : pressure)
            verdict the debit is always 0 and this branch never fires. *)
         if ev_rejected asmt then ()
         else if
-          projected <= config.Config.pressure_threshold
-          || asmt.Ssapre.as_benefit > config.Config.spill_cost * spill_occ
+          projected <= Timing.rse_pool
+          || asmt.Ssapre.as_benefit > Timing.rse_spill_fill * spill_occ
         then begin
           incr counter;
           Hashtbl.replace accepted i ()
@@ -254,7 +254,7 @@ let run ?(config = Config.baseline) ?pressure (prog : Program.t) : result =
               let before = (func_stats f).Ssapre.exprs_promoted in
               (match Option.bind estimator (fun e -> e (Func.name f)) with
               | Some est ->
-                select_gated config cm_ctx collect f keys ~est
+                select_gated cm_ctx collect f keys ~est
                   ~overflow_calls:(overflow_calls f) ~claimed:(claimed_for f)
                   (func_stats f)
               | None ->

@@ -681,8 +681,8 @@ let assess (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
   let policy = collect.Expr.policy in
   let lat =
     match Srp_ssa.Spec_policy.latency_class key.Expr.mty with
-    | Srp_ssa.Spec_policy.Lat_l1 -> ctx.config.Config.lat_l1
-    | Srp_ssa.Spec_policy.Lat_fp -> ctx.config.Config.lat_fp
+    | Srp_ssa.Spec_policy.Lat_l1 -> Timing.lat_l1
+    | Srp_ssa.Spec_policy.Lat_fp -> Timing.lat_fp
   in
   let benefit = ref 0 in
   let occ = ref 0 in
@@ -746,7 +746,7 @@ let assess (ctx : codemotion_ctx) (collect : Expr.collect_ctx) (f : Func.t)
             in
             let recover =
               match cascade with
-              | Some _ -> ctx.config.Config.recovery_penalty + lat
+              | Some _ -> Timing.check_recovery_penalty + lat
               | None -> lat
             in
             conflict :=

@@ -83,8 +83,12 @@ module Key = struct
       | Srp_core.Config.Spec_profile p ->
         "profile:" ^ Digest.to_hex (Digest.string (Alias_profile.save p))
     in
-    (* "v4": the unread [cold_ratio] knob and the fixed [spec_threshold]
-       (always 1.0) left the config, and the pressure estimator's version
+    (* "v5": the machine prices the promoter reads ([lat_l1], [lat_fp],
+       [spill_cost], [recovery_penalty] and the [pressure_threshold] pool)
+       left the config for Srp_ir.Timing; like the estimator, a change to
+       them is a change to this version string.  "v4": the unread
+       [cold_ratio] knob and the fixed [spec_threshold] (always 1.0)
+       left the config, and the pressure estimator's version
        tag ([estimator], formerly a config field) folded into this
        version string — bump it whenever the estimator changes.  "v3":
        the probabilistic expected-value gate knobs joined the config;
@@ -92,18 +96,13 @@ module Key = struct
        change the promoter's output must be here, or a tuned threshold
        could be served a stale cached promote artifact. *)
     digest
-      [ "config"; "v4"; style; policy;
+      [ "config"; "v5"; style; policy;
         string_of_bool c.Srp_core.Config.control_spec;
         string_of_bool c.Srp_core.Config.use_invala;
         string_of_int c.Srp_core.Config.max_rounds;
         string_of_bool c.Srp_core.Config.cascade;
         string_of_bool c.Srp_core.Config.pressure;
-        string_of_int c.Srp_core.Config.pressure_threshold;
-        string_of_int c.Srp_core.Config.lat_l1;
-        string_of_int c.Srp_core.Config.lat_fp;
-        string_of_int c.Srp_core.Config.spill_cost;
-        string_of_bool c.Srp_core.Config.prob;
-        string_of_int c.Srp_core.Config.recovery_penalty ]
+        string_of_bool c.Srp_core.Config.prob ]
 
   let promote ~(applied_key : string) ~(config : string) =
     digest [ "promote"; "v1"; applied_key; config ]

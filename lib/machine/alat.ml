@@ -1,12 +1,14 @@
 (* The Advanced Load Address Table (paper section 2.1), modelled on the
-   Itanium implementation: 32 entries, 2-way set-associative on partial
-   physical address bits, tagged by the target register of the advanced
-   load.
+   Itanium 2 implementation: 32 entries, fully associative, matched on
+   partial physical address bits and tagged by the target register of the
+   advanced load.
 
-   Associativity: configurable.  The default is fully associative with
-   round-robin replacement — the Itanium 2 ALAT is a 32-entry fully
-   associative CAM; the original Itanium used 2 ways, which the ablation
-   benches can request via [ways] to observe set-conflict evictions.
+   Associativity: the machine (and every experiment) uses the default,
+   fully associative with round-robin replacement — the Itanium 2 ALAT is
+   a 32-entry fully associative CAM.  [create ~ways] builds a
+   set-associative table instead (the original Itanium used 2 ways); only
+   the unit tests pass it, to observe set-conflict evictions — no bench
+   or ablation does.
 
    Semantics:
    - ld.a/ld.sa allocate (or refresh) an entry for (frame, register);

@@ -6,9 +6,10 @@
     invalidates entries whose partial address matches — so a false partial
     collision can only cause a spurious reload, never an incorrect result.
 
-    Associativity is configurable; the default is fully associative
-    (Itanium 2's 32-entry CAM).  Pass [~ways:2] for the original Itanium's
-    organization, which exhibits set-conflict evictions.
+    The default, which the machine and every experiment use, is fully
+    associative (Itanium 2's 32-entry CAM).  [~ways:2] builds the original
+    Itanium's set-associative organization, which exhibits set-conflict
+    evictions; only the unit tests pass it.
 
     One idealization versus hardware: entries are tagged by
     (call-frame uid, register index) rather than physical register number,

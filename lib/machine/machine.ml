@@ -1,13 +1,16 @@
 (* The machine: functional execution of target code interleaved with an
    in-order, 6-issue pipeline timing model (a 733 MHz Itanium in spirit).
 
-   Timing model: instructions issue in order; an issue group holds up to 6
-   instructions with at most 2 memory ops and 2 FP ops per cycle.  A
-   scoreboard of per-register ready times stalls issue until operands are
-   ready; stall cycles whose critical operand was produced by a memory
-   operation count as data-access cycles (the paper's second metric in
-   Figure 8).  Taken-branch redirects cost one bubble; mispredictions
-   (static backward-taken/forward-not-taken) cost a 6-cycle flush.
+   Timing model: instructions issue in order; an issue group holds up to
+   [Timing.issue_width] (6) instructions with at most [m_units] (2)
+   memory ops and [f_units] (2) FP ops per cycle.  A scoreboard of
+   per-register ready times stalls issue until operands are ready; stall
+   cycles whose critical operand was produced by a memory operation count
+   as data-access cycles (the paper's second metric in Figure 8).
+   Taken-branch redirects cost one bubble; mispredictions (static
+   backward-taken/forward-not-taken) cost a [mispredict_penalty] flush.
+   Every price is Srp_ir.Timing's, and every result latency and issue
+   class Insn's — the same figures the compiler plans with.
 
    Functional model: memory is the same region-tracked store the IR
    interpreter uses, so outputs are bit-comparable for differential
@@ -16,6 +19,7 @@
    the compiler consumed an unchecked speculative value). *)
 
 open Srp_target
+module Timing = Srp_ir.Timing
 module Value = Srp_profile.Value
 module Memory = Srp_profile.Memory
 module Location = Srp_alias.Location
@@ -29,9 +33,29 @@ let merror fmt = Fmt.kstr (fun s -> raise (Machine_error s)) fmt
 
 exception Out_of_fuel
 
+(* A function's code with each instruction's issue class and result
+   latency (Insn.takes_mem / takes_fp / latency) and each bundle's
+   dispersal ports (Bundle.template_ports) looked up once, at [create]:
+   the per-instruction path reads them from arrays. *)
+type decoded = {
+  func : Insn.func;
+  takes_mem : bool array;
+  takes_fp : bool array;
+  latency : int array;
+  ports : (int * int * int) array; (* per bundle; empty when flat *)
+}
+
+let decode (func : Insn.func) =
+  let code = func.Insn.code in
+  let bundles = Option.value ~default:[||] func.Insn.bundles in
+  { func; takes_mem = Array.map Insn.takes_mem code;
+    takes_fp = Array.map Insn.takes_fp code;
+    latency = Array.map Insn.latency code;
+    ports = Array.map (fun b -> Bundle.template_ports b.Insn.tmpl) bundles }
+
 type frame = {
   uid : int;
-  func : Insn.func;
+  dec : decoded;
   iregs : Value.t array;
   fregs : Value.t array;
   inat : bool array;
@@ -43,7 +67,7 @@ type frame = {
 }
 
 type t = {
-  prog : Insn.program;
+  funcs : (string, decoded) Hashtbl.t;
   mem : Memory.t;
   globals : (int, int64) Hashtbl.t; (* symbol id -> address *)
   alat : Alat.t;
@@ -72,37 +96,6 @@ type t = {
   mutable sp : int64;
 }
 
-let issue_width = 6
-let mem_per_cycle = 2
-let fp_per_cycle = 2
-
-(* Dispersal ports for bundle-wise fetch: up to two bundles per cycle, and
-   across the window the templates may reserve at most 2 M, 2 F and 3 B
-   units (pads reserve their slot's unit too — dispersal routes by
-   template, not by what the syllable turns out to do). *)
-let bundles_per_cycle = 2
-let m_ports_per_cycle = 2
-let f_ports_per_cycle = 2
-let b_ports_per_cycle = 3
-
-let template_ports : Insn.template -> int * int * int = function
-  | Insn.MII -> (1, 0, 0)
-  | Insn.MMI -> (2, 0, 0)
-  | Insn.MIB -> (1, 0, 1)
-  | Insn.MMB -> (2, 0, 1)
-  | Insn.MFI -> (1, 1, 0)
-  | Insn.MMF -> (2, 1, 0)
-  | Insn.MBB -> (1, 0, 2)
-  | Insn.BBB -> (0, 0, 3)
-
-let mispredict_penalty = 6
-
-(* chk.a failure: the front end flushes like a mispredicted branch, then the
-   hardware raises a light trap that vectors into the recovery code — the
-   trap dispatch costs an extra fixed latency on top of the flush (see the
-   timing table in DESIGN.md). *)
-let check_recovery_penalty = mispredict_penalty + 10
-
 let create ?(fuel = 200_000_000) ?trace ?timeline (prog : Insn.program) : t =
   let mem = Memory.create () in
   let globals = Hashtbl.create 16 in
@@ -125,7 +118,10 @@ let create ?(fuel = 200_000_000) ?trace ?timeline (prog : Insn.program) : t =
             Memory.store mem (Int64.add base (Int64.of_int (i * 8))) (Value.Vflt v))
           vs))
     prog.Insn.globals;
-  { prog; mem; globals; alat = Alat.create (); cache = Cache.create ();
+  let funcs = Hashtbl.create (Hashtbl.length prog.Insn.funcs) in
+  Hashtbl.iter (fun name f -> Hashtbl.replace funcs name (decode f))
+    prog.Insn.funcs;
+  { funcs; mem; globals; alat = Alat.create (); cache = Cache.create ();
     rse = Rse.create (); c = Counters.create ();
     site_stats = Site_hist.create (); trace; timeline;
     output = Buffer.create 256;
@@ -238,23 +234,25 @@ let bundle_site (code : Insn.insn array) pc =
   go 0
 
 (* Bundle-wise dispersal, run whenever execution reaches slot 0 of a
-   bundle.  A third bundle in the cycle rolls the group over naturally; a
-   *second* bundle blocked by the previous bundle's stop bit or by a
-   template port conflict ends the group early — a split, the stall the
-   flat-stream model never paid. *)
-let enter_bundle m code pc (b : Insn.bundle) =
-  let pm, pf, pb = template_ports b.Insn.tmpl in
-  if m.group_bundles >= bundles_per_cycle then new_group m
+   bundle: up to [Timing.bundles_per_cycle] bundles per cycle, whose
+   templates together may reserve at most [m_units] M, [f_units] F and
+   [b_units] B units.  A third bundle in the cycle rolls the group over
+   naturally; a *second* bundle blocked by the previous bundle's stop bit
+   or by a template port conflict ends the group early — a split, the
+   stall the flat-stream model never paid. *)
+let enter_bundle m (dec : decoded) pc (b : Insn.bundle) =
+  let pm, pf, pb = dec.ports.(pc / 3) in
+  if m.group_bundles >= Timing.bundles_per_cycle then new_group m
   else if
     m.group_bundles = 1
     && (m.pending_stop
-       || m.group_m_ports + pm > m_ports_per_cycle
-       || m.group_f_ports + pf > f_ports_per_cycle
-       || m.group_b_ports + pb > b_ports_per_cycle)
+       || m.group_m_ports + pm > Timing.m_units
+       || m.group_f_ports + pf > Timing.f_units
+       || m.group_b_ports + pb > Timing.b_units)
   then begin
     let was_stop = m.pending_stop in
     m.c.Counters.split_stalls <- m.c.Counters.split_stalls + 1;
-    ev m ~site:(bundle_site code pc) Srp_obs.Site_hist.Split_stalls;
+    ev m ~site:(bundle_site dec.func.Insn.code pc) Srp_obs.Site_hist.Split_stalls;
     tr m "split" [ ("pc", J.Int pc); ("stop", J.Bool was_stop) ];
     new_group m
   end;
@@ -265,12 +263,14 @@ let enter_bundle m code pc (b : Insn.bundle) =
   m.pending_stop <- b.Insn.stop;
   m.c.Counters.bundles_retired <- m.c.Counters.bundles_retired + 1
 
-(* Issue one instruction consuming [mem]/[fp] unit slots. *)
-let issue_slot m ~mem ~fp =
+(* Issue the instruction at [pc], taking a memory / FP unit by its issue
+   class. *)
+let issue_slot m fr pc =
+  let mem = fr.dec.takes_mem.(pc) and fp = fr.dec.takes_fp.(pc) in
   if
-    m.group_slots >= issue_width
-    || (mem && m.group_mem >= mem_per_cycle)
-    || (fp && m.group_fp >= fp_per_cycle)
+    m.group_slots >= Timing.issue_width
+    || (mem && m.group_mem >= Timing.m_units)
+    || (fp && m.group_fp >= Timing.f_units)
   then new_group m;
   m.group_slots <- m.group_slots + 1;
   if mem then m.group_mem <- m.group_mem + 1;
@@ -314,8 +314,6 @@ let write_dest fr (d : Insn.dest) v ~ready ~mem =
   match d with
   | Insn.DInt r -> write_int fr r v ~ready ~mem
   | Insn.DFlt f -> write_fp fr f v ~ready ~mem
-
-let src_is_fp = function Insn.SFrg _ | Insn.SFim _ -> true | Insn.SReg _ | Insn.SImm _ -> false
 
 (* --- ALU semantics --- *)
 
@@ -365,10 +363,11 @@ let alat_tag fr (d : Insn.dest) : Alat.tag =
 
 (* --- execution --- *)
 
-let rec exec_function m (func : Insn.func) (args : Value.t list) : Value.t option =
+let rec exec_function m (dec : decoded) (args : Value.t list) : Value.t option =
+  let func = dec.func in
   m.frame_uid <- m.frame_uid + 1;
   let fr =
-    { uid = m.frame_uid; func;
+    { uid = m.frame_uid; dec;
       iregs = Array.make (max 1 func.Insn.nregs) (Value.Vint 0L);
       fregs = Array.make (max 1 func.Insn.nfregs) (Value.Vflt 0.0);
       inat = Array.make (max 1 func.Insn.nregs) false;
@@ -412,73 +411,73 @@ let rec exec_function m (func : Insn.func) (args : Value.t list) : Value.t optio
   result
 
 and exec_from m fr pc : Value.t option =
-  if pc < 0 || pc >= Array.length fr.func.Insn.code then
-    merror "%s: pc %d out of range" fr.func.Insn.name pc;
+  if pc < 0 || pc >= Array.length fr.dec.func.Insn.code then
+    merror "%s: pc %d out of range" fr.dec.func.Insn.name pc;
   (* bundle-wise fetch: crossing into slot 0 disperses the next bundle *)
-  (match fr.func.Insn.bundles with
+  (match fr.dec.func.Insn.bundles with
   | Some bs when pc mod 3 = 0 ->
-    enter_bundle m fr.func.Insn.code pc bs.(pc / 3)
+    enter_bundle m fr.dec pc bs.(pc / 3)
   | _ -> ());
-  let ins = fr.func.Insn.code.(pc) in
+  let ins = fr.dec.func.Insn.code.(pc) in
   (* per-instruction retire record; the field list is only built when a
      sink is attached *)
   (match m.trace with
   | None -> ()
   | Some _ ->
     tr m "i"
-      [ ("f", J.String fr.func.Insn.name); ("pc", J.Int pc);
+      [ ("f", J.String fr.dec.func.Insn.name); ("pc", J.Int pc);
         ("op", J.String (op_name ins)) ]);
   match ins with
   | Insn.Movl { dst; imm } ->
-    issue_slot m ~mem:false ~fp:false;
-    write_int fr dst (Value.Vint imm) ~ready:(m.cycle + 1) ~mem:false;
+    issue_slot m fr pc;
+    write_int fr dst (Value.Vint imm) ~ready:(m.cycle + fr.dec.latency.(pc)) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Gaddr { dst; sym } ->
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m fr pc;
     let addr =
       match Hashtbl.find_opt m.globals sym with
       | Some a -> a
       | None -> merror "unknown global symbol id %d" sym
     in
-    write_int fr dst (Value.Vint addr) ~ready:(m.cycle + 1) ~mem:false;
+    write_int fr dst (Value.Vint addr) ~ready:(m.cycle + fr.dec.latency.(pc)) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Mov { dst; src } ->
     let v = read_src fr m src in
-    issue_slot m ~mem:false ~fp:(src_is_fp src);
-    write_dest fr dst (coerce_loaded dst v) ~ready:(m.cycle + 1) ~mem:false;
+    issue_slot m fr pc;
+    write_dest fr dst (coerce_loaded dst v) ~ready:(m.cycle + fr.dec.latency.(pc)) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Alu { op; dst; a; b } ->
     let va = read_src fr m a and vb = read_src fr m b in
-    issue_slot m ~mem:false ~fp:false;
-    let lat = match op with Insn.Amul -> 3 | Insn.Adiv | Insn.Arem -> 20 | _ -> 1 in
-    write_int fr dst (ialu_eval op va vb) ~ready:(m.cycle + lat) ~mem:false;
+    issue_slot m fr pc;
+    write_int fr dst (ialu_eval op va vb) ~ready:(m.cycle + fr.dec.latency.(pc)) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Falu { op; dst; a; b } ->
     let va = read_src fr m a and vb = read_src fr m b in
-    issue_slot m ~mem:false ~fp:true;
-    let lat = match op with Insn.FAdiv -> 30 | _ -> 4 in
-    write_fp fr dst (falu_eval op va vb) ~ready:(m.cycle + lat) ~mem:false;
+    issue_slot m fr pc;
+    write_fp fr dst (falu_eval op va vb) ~ready:(m.cycle + fr.dec.latency.(pc)) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Fcmp { op; dst; a; b } ->
     let va = read_src fr m a and vb = read_src fr m b in
-    issue_slot m ~mem:false ~fp:true;
-    write_int fr dst (fcmp_eval op va vb) ~ready:(m.cycle + 2) ~mem:false;
+    issue_slot m fr pc;
+    write_int fr dst (fcmp_eval op va vb) ~ready:(m.cycle + fr.dec.latency.(pc)) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Itof { dst; src } ->
     let v = read_src fr m src in
-    issue_slot m ~mem:false ~fp:true;
-    write_fp fr dst (Value.Vflt (Int64.to_float (Value.to_int v))) ~ready:(m.cycle + 4) ~mem:false;
+    issue_slot m fr pc;
+    write_fp fr dst (Value.Vflt (Int64.to_float (Value.to_int v)))
+      ~ready:(m.cycle + fr.dec.latency.(pc)) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Ftoi { dst; src } ->
     let v = read_src fr m src in
-    issue_slot m ~mem:false ~fp:true;
-    write_int fr dst (Value.Vint (Int64.of_float (Value.to_flt v))) ~ready:(m.cycle + 4) ~mem:false;
+    issue_slot m fr pc;
+    write_int fr dst (Value.Vint (Int64.of_float (Value.to_flt v)))
+      ~ready:(m.cycle + fr.dec.latency.(pc)) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Ld { kind; dst; base; site } -> exec_load m fr pc kind dst base site
   | Insn.St { src; base; site } ->
     let v = read_src fr m src in
     let a = Value.to_int (read_int fr m base) in
-    issue_slot m ~mem:true ~fp:false;
+    issue_slot m fr pc;
     Memory.store m.mem a v;
     Cache.store_touch m.cache a;
     m.c.Counters.stores_retired <- m.c.Counters.stores_retired + 1;
@@ -495,7 +494,7 @@ and exec_from m fr pc : Value.t option =
           ("victims", J.Arr (List.map (fun s -> J.Int s) victims)) ];
     exec_from m fr (pc + 1)
   | Insn.Chk_a { tag; recovery; site } ->
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m fr pc;
     m.c.Counters.checks_retired <- m.c.Counters.checks_retired + 1;
     ev m ~site Site_hist.Checks_retired;
     if Alat.check m.alat (alat_tag fr tag) ~clear:false then exec_from m fr (pc + 1)
@@ -504,28 +503,28 @@ and exec_from m fr pc : Value.t option =
       m.c.Counters.check_failures <- m.c.Counters.check_failures + 1;
       ev m ~site Site_hist.Check_failures;
       tr m "chk.a.fail" [ ("site", J.Int site); ("recovery", J.Int recovery) ];
-      advance_cycles m check_recovery_penalty;
+      advance_cycles m Timing.check_recovery_penalty;
       exec_from m fr recovery
     end
   | Insn.Invala_e { tag } ->
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m fr pc;
     m.c.Counters.invala_retired <- m.c.Counters.invala_retired + 1;
     Alat.remove m.alat (alat_tag fr tag);
     exec_from m fr (pc + 1)
   | Insn.Sel { dst; cond; if_true; if_false } ->
     let vc = read_int fr m cond in
     let vt = read_src fr m if_true and vf = read_src fr m if_false in
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m fr pc;
     let v = if Value.truthy vc then vt else vf in
-    write_dest fr dst (coerce_loaded dst v) ~ready:(m.cycle + 1) ~mem:false;
+    write_dest fr dst (coerce_loaded dst v) ~ready:(m.cycle + fr.dec.latency.(pc)) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Br { target } ->
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m fr pc;
     new_group m; (* taken-branch redirect *)
     exec_from m fr target
   | Insn.Brc { cond; ifso; ifnot; site } ->
     let vc = read_int fr m cond in
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m fr pc;
     let taken = Value.truthy vc in
     let target = if taken then ifso else ifnot in
     (* Static prediction: backward taken, forward not taken, decided by the
@@ -538,46 +537,47 @@ and exec_from m fr pc : Value.t option =
       ev m ~site Site_hist.Branch_mispredicts;
       tr m "br.mispredict"
         [ ("site", J.Int site); ("pc", J.Int pc); ("taken", J.Bool taken) ];
-      advance_cycles m mispredict_penalty
+      advance_cycles m Timing.mispredict_penalty
     end
     else if target <> pc + 1 then new_group m;
     exec_from m fr target
   | Insn.Call { callee; args; ret } -> (
     let vargs = List.map (read_src fr m) args in
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m fr pc;
     new_group m;
     let g =
-      match Hashtbl.find_opt m.prog.Insn.funcs callee with
+      match Hashtbl.find_opt m.funcs callee with
       | Some g -> g
       | None -> merror "call to unknown function %s" callee
     in
     let r = exec_function m g vargs in
     new_group m;
     (match ret, r with
-    | Some d, Some v -> write_dest fr d (coerce_loaded d v) ~ready:(m.cycle + 1) ~mem:false
+    | Some d, Some v ->
+      write_dest fr d (coerce_loaded d v) ~ready:(m.cycle + fr.dec.latency.(pc)) ~mem:false
     | Some _, None -> merror "%s returned no value" callee
     | None, _ -> ());
     exec_from m fr (pc + 1))
   | Insn.Ret { value } ->
     let v = Option.map (read_src fr m) value in
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m fr pc;
     new_group m;
     v
   | Insn.Alloc { dst; nbytes; site } ->
     let n = Int64.to_int (Value.to_int (read_src fr m nbytes)) in
-    issue_slot m ~mem:false ~fp:false;
-    advance_cycles m 20; (* allocator runtime cost *)
+    issue_slot m fr pc;
+    advance_cycles m Timing.alloc_cycles;
     let base = Memory.alloc m.mem ~size:(max 8 n) ~loc:(Location.Heap site) in
-    write_int fr dst (Value.Vint base) ~ready:(m.cycle + 1) ~mem:false;
+    write_int fr dst (Value.Vint base) ~ready:(m.cycle + fr.dec.latency.(pc)) ~mem:false;
     exec_from m fr (pc + 1)
   | Insn.Print { what; as_float } ->
     let v = read_src fr m what in
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m fr pc;
     if as_float then Buffer.add_string m.output (Fmt.str "%.6f\n" (Value.to_flt v))
     else Buffer.add_string m.output (Fmt.str "%Ld\n" (Value.to_int v));
     exec_from m fr (pc + 1)
   | Insn.Nop ->
-    issue_slot m ~mem:false ~fp:false;
+    issue_slot m fr pc;
     m.c.Counters.nops_emitted <- m.c.Counters.nops_emitted + 1;
     exec_from m fr (pc + 1)
 
@@ -585,11 +585,8 @@ and exec_load m fr pc (kind : Insn.ld_kind) (dst : Insn.dest) base site :
     Value.t option =
   let fp = match dst with Insn.DFlt _ -> true | Insn.DInt _ -> false in
   let a = Value.to_int (read_int fr m base) in
-  (* a check load is "processed like a no-op when the check is successful"
-     (paper section 1): it takes an issue slot but no memory unit; real
-     loads occupy one of the two memory slots *)
-  let is_check = match kind with Insn.K_ld_c _ -> true | _ -> false in
-  issue_slot m ~mem:(not is_check) ~fp:(fp && not is_check);
+  (* a check load takes an issue slot but no memory unit (Insn.takes_mem) *)
+  issue_slot m fr pc;
   let tag = alat_tag fr dst in
   let do_load () =
     let lat = Cache.load_latency m.cache m.c ~fp a in
@@ -660,7 +657,7 @@ and exec_load m fr pc (kind : Insn.ld_kind) (dst : Insn.dest) base site :
 let run (m : t) : int64 =
   Srp_obs.Stats.time ~pass:"machine" "simulate" @@ fun () ->
   let main =
-    match Hashtbl.find_opt m.prog.Insn.funcs "main" with
+    match Hashtbl.find_opt m.funcs "main" with
     | Some f -> f
     | None -> merror "no main function"
   in

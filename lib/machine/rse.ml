@@ -3,88 +3,95 @@
    Each function allocates its integer register frame at the prologue; a
    fixed pool of physical stacked registers backs the frames of the whole
    call stack.  When an allocation overflows the physical file, the RSE
-   spills the oldest frames' registers to the backing store at one
-   register per cycle; when a return re-exposes a spilled frame, the RSE
-   fills it back.  rse_cycles is the spill+fill traffic — the paper's
-   observation is that promotion grows frames slightly, so rse_cycles can
-   rise by tens of percent while remaining a vanishing fraction of total
-   cycles.
+   spills the oldest frames' registers to the backing store at
+   [Timing.rse_reg_cycles] per register; when a return re-exposes a
+   spilled frame, the RSE fills it back at the same rate.  rse_cycles is
+   the spill+fill traffic — the paper's observation is that promotion
+   grows frames slightly, so rse_cycles can rise by tens of percent while
+   remaining a vanishing fraction of total cycles.
 
-   The default pool is 24, a scaled-down stand-in for Itanium's 96
-   stacked registers: our kernels are similarly scaled-down extracts, and
-   at 96 no kernel's call stack ever overflows the file, which would make
-   the RSE columns of the experiment tables identically zero.  Tests that
-   model the real machine pass ~phys_total:96 explicitly. *)
+   The default pool is [Timing.rse_pool] = 24, a scaled-down stand-in for
+   Itanium's 96 stacked registers (see timing.ml).  Tests that model the
+   real machine pass ~phys_total:96 explicitly.
+
+   Spilling walks from the oldest frame up, so the frames holding spilled
+   registers are always a prefix of the stack, fully spilled but for its
+   innermost member; a return fills only the frame it re-exposes, which
+   then sits on top of that prefix.  [oldest] marks the prefix's end, so
+   a spill resumes where the last one stopped instead of rescanning the
+   stack: amortized O(1) per call at any recursion depth. *)
+
+module Timing = Srp_ir.Timing
+module Vec = Srp_support.Vec
 
 type frame = { nregs : int; mutable spilled : int (* regs currently in backing store *) }
 
 type t = {
-  mutable stack : frame list; (* innermost first *)
+  frames : frame Vec.t; (* outermost first *)
   mutable phys_used : int; (* registers of unspilled (parts of) frames *)
+  mutable backing : int; (* registers currently in the backing store *)
+  mutable oldest : int; (* every frame below this index has none resident *)
   phys_total : int;
 }
 
-let create ?(phys_total = 24) () = { stack = []; phys_used = 0; phys_total }
+let create ?(phys_total = Timing.rse_pool) () =
+  { frames = Vec.create ~dummy:{ nregs = 0; spilled = 0 }; phys_used = 0;
+    backing = 0; oldest = 0; phys_total }
 
 (* Occupancy views for the timeline sampler: dirty = stacked registers
    resident in the physical file (the RSE would have to spill them),
    clean = stacked registers currently saved to the backing store. *)
 let dirty t = t.phys_used
-let clean t = List.fold_left (fun acc f -> acc + f.spilled) 0 t.stack
+let clean t = t.backing
 
 (* Allocate a frame of [nregs]; returns cycles spent spilling. *)
 let call t (c : Counters.t) ~nregs : int =
-  let f = { nregs; spilled = 0 } in
-  t.stack <- f :: t.stack;
+  Vec.push t.frames { nregs; spilled = 0 };
   t.phys_used <- t.phys_used + nregs;
   if c.Counters.max_stacked_regs < t.phys_used then
     c.Counters.max_stacked_regs <- t.phys_used;
-  let spill_cost = ref 0 in
-  if t.phys_used > t.phys_total then begin
-    (* spill oldest frames until the new frame fits *)
-    let rec spill_oldest = function
-      | [] -> ()
-      | fs ->
-        if t.phys_used <= t.phys_total then ()
-        else begin
-          let oldest = List.nth fs (List.length fs - 1) in
-          let resident = oldest.nregs - oldest.spilled in
-          if resident = 0 then
-            spill_oldest (List.filteri (fun i _ -> i < List.length fs - 1) fs)
-          else begin
-            let need = t.phys_used - t.phys_total in
-            let n = min resident need in
-            oldest.spilled <- oldest.spilled + n;
-            t.phys_used <- t.phys_used - n;
-            spill_cost := !spill_cost + n;
-            c.Counters.rse_spilled_regs <- c.Counters.rse_spilled_regs + n;
-            if t.phys_used > t.phys_total then
-              spill_oldest (List.filteri (fun i _ -> i < List.length fs - 1) fs)
-          end
-        end
-    in
-    spill_oldest t.stack
-  end;
-  c.Counters.rse_cycles <- c.Counters.rse_cycles + !spill_cost;
-  !spill_cost
+  (* spill oldest frames until the new frame fits *)
+  let spilled = ref 0 in
+  while t.phys_used > t.phys_total do
+    let f = Vec.get t.frames t.oldest in
+    let n = min (f.nregs - f.spilled) (t.phys_used - t.phys_total) in
+    f.spilled <- f.spilled + n;
+    t.phys_used <- t.phys_used - n;
+    spilled := !spilled + n;
+    if f.spilled = f.nregs then t.oldest <- t.oldest + 1
+  done;
+  t.backing <- t.backing + !spilled;
+  c.Counters.rse_spilled_regs <- c.Counters.rse_spilled_regs + !spilled;
+  let cost = !spilled * Timing.rse_reg_cycles in
+  c.Counters.rse_cycles <- c.Counters.rse_cycles + cost;
+  cost
 
 (* Return from the innermost frame; returns cycles spent filling the
    caller's spilled registers. *)
 let ret t (c : Counters.t) : int =
-  match t.stack with
-  | [] -> 0
-  | f :: rest ->
+  if Vec.is_empty t.frames then 0
+  else begin
+    let f = Vec.pop t.frames in
     t.phys_used <- t.phys_used - (f.nregs - f.spilled);
-    t.stack <- rest;
-    let fill_cost =
-      match rest with
-      | caller :: _ when caller.spilled > 0 ->
+    t.backing <- t.backing - f.spilled;
+    let depth = Vec.length t.frames in
+    t.oldest <- min t.oldest depth;
+    let filled =
+      if depth = 0 then 0
+      else begin
+        let caller = Vec.top t.frames in
         let n = caller.spilled in
-        caller.spilled <- 0;
-        t.phys_used <- t.phys_used + n;
-        c.Counters.rse_filled_regs <- c.Counters.rse_filled_regs + n;
+        if n > 0 then begin
+          caller.spilled <- 0;
+          t.phys_used <- t.phys_used + n;
+          t.backing <- t.backing - n;
+          t.oldest <- min t.oldest (depth - 1);
+          c.Counters.rse_filled_regs <- c.Counters.rse_filled_regs + n
+        end;
         n
-      | _ -> 0
+      end
     in
-    c.Counters.rse_cycles <- c.Counters.rse_cycles + fill_cost;
-    fill_cost
+    let cost = filled * Timing.rse_reg_cycles in
+    c.Counters.rse_cycles <- c.Counters.rse_cycles + cost;
+    cost
+  end

@@ -205,7 +205,7 @@ let profile t = t.profile
 let steps t = t.steps
 
 (* Convenience: interpret a program and return (exit code, output, profile). *)
-let run_program ?fuel ?collect_profile ?overrides prog =
-  let t = create ?fuel ?collect_profile ?overrides prog in
+let run_program ?fuel ?collect_profile prog =
+  let t = create ?fuel ?collect_profile prog in
   let code = run t in
   (code, output t, profile t)

@@ -40,6 +40,5 @@ val steps : t -> int
 val run_program :
   ?fuel:int ->
   ?collect_profile:bool ->
-  ?overrides:(string * Program.global_init) list ->
   Program.t ->
   int64 * string * Alias_profile.t

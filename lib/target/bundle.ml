@@ -52,6 +52,19 @@ let all_templates =
   [ Insn.MII; Insn.MMI; Insn.MFI; Insn.MIB; Insn.MMB; Insn.MMF; Insn.MBB;
     Insn.BBB ]
 
+(* The M, F and B units a template reserves at dispersal, one per slot of
+   that class (pads reserve their slot's unit too — dispersal routes by
+   template, not by what the syllable turns out to do).  Counted once per
+   template from [slots]; the machine reads them on every bundle. *)
+let template_ports : Insn.template -> int * int * int =
+  let count t cls =
+    Array.fold_left (fun n s -> if s = cls then n + 1 else n) 0 (slots t)
+  in
+  let table =
+    List.map (fun t -> (t, (count t M, count t F, count t B))) all_templates
+  in
+  fun t -> List.assq t table
+
 let stop_capable = function Insn.MII | Insn.MMI -> true | _ -> false
 
 (* [None] = nop wildcard, fits any slot. *)

@@ -98,6 +98,44 @@ let is_advanced_load = function
   | Ld { kind = K_ld_a | K_ld_sa; _ } -> true
   | _ -> false
 
+(* --- per-instruction timing ---
+
+   The machine (machine.ml) and the list scheduler (sched.ml) both read
+   these; the scalar prices behind them are Srp_ir.Timing's.
+
+   [latency]: cycles from issue until a dependent may read the result.
+   The machine asks the cache for a real load's latency; the static
+   figure here is the L1-hit price the scheduler shapes the stream for
+   (it cannot know about misses), and a check load is priced as a hit —
+   the whole point of promotion is that it usually is one. *)
+let latency = function
+  | Alu { op = Amul; _ } -> 3
+  | Alu { op = Adiv | Arem; _ } -> 20
+  | Falu { op = FAdiv; _ } -> 30
+  | Falu _ -> 4
+  | Fcmp _ -> 2
+  | Itof _ | Ftoi _ -> 4
+  | Ld { kind = K_ld_c _; _ } -> 1
+  | Ld { dst = DFlt _; _ } -> Srp_ir.Timing.lat_fp
+  | Ld _ -> Srp_ir.Timing.lat_l1
+  | _ -> 1
+
+(* Issue classes: loads and stores take a memory unit except check loads
+   (a check is "processed like a no-op when the check is successful",
+   paper section 1: an issue slot but no memory unit); the FP units serve
+   FP arithmetic, conversions, FP-sourced movs and FP loads. *)
+let takes_mem = function
+  | Ld { kind = K_ld_c _; _ } -> false
+  | Ld _ | St _ -> true
+  | _ -> false
+
+let takes_fp = function
+  | Falu _ | Fcmp _ | Itof _ | Ftoi _ -> true
+  | Mov { src = SFrg _ | SFim _; _ } -> true
+  | Ld { kind = K_ld_c _; _ } -> false
+  | Ld { dst = DFlt _; _ } -> true
+  | _ -> false
+
 (* --- IA-64 bundles ---
 
    A bundle holds three syllables dispensed to M (memory), I (integer),

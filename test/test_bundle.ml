@@ -318,6 +318,17 @@ let kernel_diff_tests =
         (test_kernel_bundle_differential name))
     (Srp_workloads.Registry.names ())
 
+(* Dispersal ports are counted from the templates' slot classes; pin the
+   counts against the IA-64 template table written out by hand. *)
+let test_template_ports () =
+  List.iter
+    (fun (t, expect) ->
+      Alcotest.(check (triple int int int))
+        (Insn.template_name t) expect (Bundle.template_ports t))
+    [ (Insn.MII, (1, 0, 0)); (Insn.MMI, (2, 0, 0)); (Insn.MIB, (1, 0, 1));
+      (Insn.MMB, (2, 0, 1)); (Insn.MFI, (1, 1, 0)); (Insn.MMF, (2, 1, 0));
+      (Insn.MBB, (1, 0, 2)); (Insn.BBB, (0, 0, 3)) ]
+
 let suite =
   bundle_qchecks
   @ [ Alcotest.test_case "codegen carries bundles" `Quick
@@ -325,5 +336,7 @@ let suite =
       Alcotest.test_case "split_stalls attribution sums" `Quick
         test_split_attribution;
       Alcotest.test_case "alat still wins under bundling" `Slow
-        test_alat_still_wins_bundled ]
+        test_alat_still_wins_bundled;
+      Alcotest.test_case "template ports from slot classes" `Quick
+        test_template_ports ]
   @ kernel_diff_tests

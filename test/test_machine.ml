@@ -5,6 +5,7 @@ module Alat = Srp_machine.Alat
 module Cache = Srp_machine.Cache
 module Rse = Srp_machine.Rse
 module Counters = Srp_machine.Counters
+module Timing = Srp_ir.Timing
 
 (* --- ALAT unit tests --- *)
 
@@ -89,19 +90,19 @@ let test_cache_hit_miss () =
   let c = Cache.create () in
   let ctr = Counters.create () in
   let lat1 = Cache.load_latency c ctr ~fp:false 0x4000L in
-  Alcotest.(check bool) "cold miss is slow" true (lat1 > Cache.lat_l1);
+  Alcotest.(check bool) "cold miss is slow" true (lat1 > Timing.lat_l1);
   let lat2 = Cache.load_latency c ctr ~fp:false 0x4000L in
-  Alcotest.(check int) "warm hit is 2 cycles" Cache.lat_l1 lat2;
+  Alcotest.(check int) "warm hit is 2 cycles" Timing.lat_l1 lat2;
   (* same line, different word: still a hit *)
   let lat3 = Cache.load_latency c ctr ~fp:false 0x4008L in
-  Alcotest.(check int) "same line hits" Cache.lat_l1 lat3
+  Alcotest.(check int) "same line hits" Timing.lat_l1 lat3
 
 let test_cache_fp_latency () =
   let c = Cache.create () in
   let ctr = Counters.create () in
   ignore (Cache.load_latency c ctr ~fp:true 0x8000L);
   let lat = Cache.load_latency c ctr ~fp:true 0x8000L in
-  Alcotest.(check int) "fp loads cost 9 cycles even when resident" Cache.lat_fp lat
+  Alcotest.(check int) "fp loads cost 9 cycles even when resident" Timing.lat_fp lat
 
 let test_cache_capacity () =
   let c = Cache.create () in
@@ -111,7 +112,7 @@ let test_cache_capacity () =
     ignore (Cache.load_latency c ctr ~fp:false (Int64.of_int (i * 64)))
   done;
   let lat = Cache.load_latency c ctr ~fp:false 0x0L in
-  Alcotest.(check bool) "evicted line misses L1" true (lat > Cache.lat_l1)
+  Alcotest.(check bool) "evicted line misses L1" true (lat > Timing.lat_l1)
 
 (* --- RSE tests --- *)
 
@@ -334,9 +335,41 @@ int main() {
   Alcotest.(check bool) "cycles positive" true (c.Counters.cycles > 0);
   Alcotest.(check bool) "instrs >= loads + stores" true
     (c.Counters.instrs_retired >= c.Counters.loads_retired + c.Counters.stores_retired);
-  (* 6-wide machine: cycles >= instrs / 6 *)
+  (* issue_width-wide machine: cycles >= instrs / issue_width *)
   Alcotest.(check bool) "ipc bounded by width" true
-    (c.Counters.cycles * 6 >= c.Counters.instrs_retired)
+    (c.Counters.cycles * Timing.issue_width >= c.Counters.instrs_retired)
+
+(* f(n) = f(n - 1) + 1, recursing [depth] calls deep: every frame
+   overflows the RSE pool once the stack is a few frames tall. *)
+let recursion_src depth =
+  Fmt.str
+    {|
+int f(int n) {
+  if (n == 0) return 0;
+  return f(n - 1) + 1;
+}
+int main() {
+  print_int(f(%d));
+  return 0;
+}
+|}
+    depth
+
+(* The spill walk's RSE traffic at O0, pinned at depths where the old
+   list-walking RSE still finished (it was O(depth^4) over a run). *)
+let test_rse_recursion_pinned () =
+  List.iter
+    (fun (depth, rse_cycles) ->
+      let prog = Srp_frontend.Lower.compile_source (recursion_src depth) in
+      let tgt = Srp_target.Codegen.gen_program prog in
+      let _, out, c = Srp_machine.Machine.run_program tgt in
+      Alcotest.(check string) "output" (Fmt.str "%d\n" depth) out;
+      Alcotest.(check int)
+        (Fmt.str "rse_cycles at depth %d" depth)
+        rse_cycles c.Counters.rse_cycles)
+    [ (250, 1964); (500, 3964); (1000, 7964) ]
+
+let test_rse_recursion_deep () = differential (recursion_src 2000)
 
 let test_machine_fuel () =
   let src = "int main() { while (1) { } return 0; }" in
@@ -360,6 +393,10 @@ let suite =
     Alcotest.test_case "rse no overflow" `Quick test_rse_no_overflow;
     Alcotest.test_case "rse spill/fill" `Quick test_rse_overflow_spill_fill;
     Alcotest.test_case "rse deep recursion" `Quick test_rse_deep_recursion;
+    Alcotest.test_case "rse recursion traffic pinned" `Quick
+      test_rse_recursion_pinned;
+    Alcotest.test_case "rse depth-2000 recursion (vs interp)" `Quick
+      test_rse_recursion_deep;
     Alcotest.test_case "predict taken backward" `Quick test_predict_taken_backward;
     Alcotest.test_case "predict taken forward" `Quick test_predict_taken_forward;
     Alcotest.test_case "predict not-taken forward" `Quick test_predict_not_taken_forward;

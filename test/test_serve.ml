@@ -228,6 +228,23 @@ let test_serve_summary_breakdown () =
         "bundle" ]
   | _ -> Alcotest.fail "summary lacks stages block"
 
+(* Unbounded recursion is stopped by the job's fuel, not by the host: the
+   RSE spills a frame per call, and that must stay cheap at any depth for
+   the fuel check to be reached promptly. *)
+let test_fuel_recursion () =
+  let responses, failed =
+    serve_batch
+      [ {|{"source":"int main() { return main(); }","level":"O0","fuel":5000}|} ]
+  in
+  Alcotest.(check int) "one failed job" 1 failed;
+  let r = List.hd responses in
+  Alcotest.(check string) "error line" "error" (str_field "type" r);
+  let msg = str_field "error" r in
+  Alcotest.(check bool)
+    (Fmt.str "out of fuel (%s)" msg)
+    true
+    (String.ends_with ~suffix:"Out_of_fuel" msg)
+
 (* a registered workload through the daemon matches the direct pipeline *)
 let test_workload_job () =
   let responses, failed =
@@ -318,4 +335,6 @@ let suite =
       test_workload_job;
     Alcotest.test_case
       (Fmt.str "soak: %d random jobs vs monolithic" soak_jobs)
-      `Slow test_soak ]
+      `Slow test_soak;
+    Alcotest.test_case "fuel stops unbounded recursion" `Quick
+      test_fuel_recursion ]

@@ -200,15 +200,8 @@ let test_stage_keys () =
                  a tuned knob served a stale cached promote artifact would
                  silently undo the tuning *)
               { Srp_core.Config.baseline with Srp_core.Config.pressure = false };
-              { Srp_core.Config.baseline with
-                Srp_core.Config.pressure_threshold = 16 };
-              { Srp_core.Config.baseline with Srp_core.Config.lat_l1 = 3 };
-              { Srp_core.Config.baseline with Srp_core.Config.lat_fp = 12 };
-              { Srp_core.Config.baseline with Srp_core.Config.spill_cost = 6 };
-              (* the probabilistic-gate knobs likewise *)
-              { Srp_core.Config.baseline with Srp_core.Config.prob = false };
-              { Srp_core.Config.baseline with
-                Srp_core.Config.recovery_penalty = 7 }
+              (* the probabilistic-gate knob likewise *)
+              { Srp_core.Config.baseline with Srp_core.Config.prob = false }
             ]));
   let pk = Stage.Key.promote ~applied_key:ak ~config:"none" in
   let sk = Stage.Key.select ~promote_key:pk in

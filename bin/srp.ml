@@ -230,27 +230,16 @@ let compile_cmd =
           $ no_sched_arg $ no_bundle_arg $ no_split_arg $ no_pressure_arg
           $ no_prob_arg)
 
-let no_cache_arg =
-  Arg.(value & flag
-       & info [ "no-cache" ]
-           ~doc:"compile through the seed monolithic pipeline instead of \
-                 the staged artifact path — the reference the staged \
-                 path is held bit-identical to")
-
 let run_cmd =
   let run file level ablations json trace trace_spans timeline
       timeline_interval no_layout no_sched no_bundle no_split no_pressure
-      no_prob no_cache =
+      no_prob =
     let w = workload_of_file file in
-    let pcr =
-      if no_cache then Pipeline.profile_compile_run_monolithic
-      else Pipeline.profile_compile_run ?cache:None
-    in
     let r =
       with_spans trace_spans (fun () ->
           with_timeline timeline ~interval:timeline_interval (fun timeline ->
               with_trace trace (fun trace ->
-                  pcr ?trace ?timeline ~ablations
+                  Pipeline.profile_compile_run ?trace ?timeline ~ablations
                     ~layout:(not no_layout) ~sched:(not no_sched)
                     ~bundle:(not no_bundle) ~split:(not no_split)
                     ~pressure:(not no_pressure) ~prob:(not no_prob) w level)))
@@ -270,7 +259,7 @@ let run_cmd =
     Term.(const run $ file_arg $ level_arg $ ablation_arg $ json_arg $ trace_arg
           $ trace_spans_arg $ timeline_arg $ timeline_interval_arg
           $ no_layout_arg $ no_sched_arg $ no_bundle_arg $ no_split_arg
-          $ no_pressure_arg $ no_prob_arg $ no_cache_arg)
+          $ no_pressure_arg $ no_prob_arg)
 
 let serve_cmd =
   let capacity_arg =

@@ -1,33 +1,36 @@
 (* Facade over the points-to analyses: one object the SSA builder and the
-   promotion pass query, composing Steensgaard, Andersen and the type-based
-   refinement — the "sequence of pointer analyses" the ORC baseline
-   composes (paper section 4). *)
+   promotion pass query.  The ORC baseline composes a "sequence of pointer
+   analyses" (paper section 4); here Andersen's inclusion-based solution
+   plus the type-based refinement is the whole answer.  Steensgaard's
+   unification solution always contains Andersen's, so intersecting with
+   it (the ORC-style composition) never removes a location — the
+   containment test in test_alias.ml pins that on every kernel and every
+   generated program:
+
+   - copy  d = s:   Andersen adds pts(s) <= pts(d); Steensgaard unifies
+     pts(d) with pts(s), so every target Andersen propagates is already in
+     d's Steensgaard class.
+   - address-of  d = &x:  Andersen puts x in pts(d); Steensgaard unifies
+     pts(d) with x's node, so x is in d's class.
+   - load  d = *r:  for every o in pts(r), Andersen adds pts(o) <= pts(d);
+     Steensgaard unifies pts(d) with pts(pts(r)), the one class holding
+     every such o's targets.
+   - store  *r = s:  for every o in pts(r), Andersen adds pts(s) <= pts(o);
+     Steensgaard unifies pts(pts(r)) with pts(s), covering every o.
+   - call:  each actual flows into its formal as a copy, by the copy case.
+   - return:  the returned operand flows into the callee's return node and
+     that node into the call's destination, two copies.
+
+   By induction over Andersen's worklist, every target it derives lies in
+   the Steensgaard class of the same node. *)
 
 open Srp_ir
 
-type t = { steens : Steensgaard.t; anders : Andersen.t }
+type t = Andersen.t
 
-let build (prog : Program.t) : t =
-  let steens = Steensgaard.run prog in
-  { steens; anders = Andersen.run prog }
-
-(* Raw points-to set of the pointer value held in [tmp].  Andersen refines
-   Steensgaard; intersect for safety of the composition (both are sound,
-   so the intersection is too). *)
-let points_to_raw t ~func tmp : Location.Set.t =
-  let pa = Andersen.points_to_of_temp t.anders ~func tmp in
-  let ps = Steensgaard.points_to_of_temp t.steens ~func tmp in
-  Location.Set.inter pa ps
+let build (prog : Program.t) : t = Andersen.run prog
 
 (* Locations an indirect access through [tmp] with cell type [mty] may
    touch. *)
 let points_to t ~func ~mty tmp : Location.Set.t =
-  Type_filter.filter ~access_mty:mty (points_to_raw t ~func tmp)
-
-(* Stable class key for virtual-variable naming. *)
-let class_of_temp t ~func tmp = Steensgaard.class_of_temp t.steens ~func tmp
-
-let may_alias t ~func ~mty1 tmp1 ~mty2 tmp2 =
-  let p1 = points_to t ~func ~mty:mty1 tmp1 in
-  let p2 = points_to t ~func ~mty:mty2 tmp2 in
-  not (Location.Set.is_empty (Location.Set.inter p1 p2))
+  Type_filter.filter ~access_mty:mty (Andersen.points_to_of_temp t ~func tmp)

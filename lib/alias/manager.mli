@@ -1,27 +1,17 @@
 (** Facade over the points-to analyses: the one object the SSA builder and
-    the promotion pass query, mirroring the "sequence of pointer analyses"
-    the ORC -O3 baseline composes (paper section 4): equivalence-class
-    (Steensgaard), inclusion-based (Andersen) and the unsafe type-based
-    refinement. *)
+    the promotion pass query.  The ORC -O3 baseline composes a "sequence of
+    pointer analyses" (paper section 4); inclusion-based (Andersen) plus
+    the unsafe type-based refinement gives exactly that composition's
+    sets, because the equivalence-class (Steensgaard) solution always
+    contains Andersen's and so never narrows it. *)
 
 open Srp_ir
 
 type t
 
-(** Run Steensgaard and Andersen over a whole program; queries intersect
-    the two (both are sound) and apply the type filter. *)
+(** Run Andersen's analysis over a whole program. *)
 val build : Program.t -> t
-
-(** Raw points-to set of the pointer value held in a temp of [func]. *)
-val points_to_raw : t -> func:string -> Temp.t -> Location.Set.t
 
 (** Locations an indirect access through the temp with cell type [mty] may
     touch (type filter applied). *)
 val points_to : t -> func:string -> mty:Mem_ty.t -> Temp.t -> Location.Set.t
-
-(** Stable equivalence-class key, used for virtual-variable naming. *)
-val class_of_temp : t -> func:string -> Temp.t -> int
-
-(** May two indirect accesses alias? *)
-val may_alias :
-  t -> func:string -> mty1:Mem_ty.t -> Temp.t -> mty2:Mem_ty.t -> Temp.t -> bool

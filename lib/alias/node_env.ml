@@ -1,8 +1,9 @@
 (* Shared node universe for the points-to analyses.  Nodes stand for the
    *content* of an entity: a symbol's cell(s), a heap object's cells, a
    temp's value, or a function's return value.  Both Steensgaard and
-   Andersen build the same node table so their results can be compared
-   (the ablation benches do exactly that). *)
+   Andersen build the same node table so their results can be compared:
+   the containment test in test_alias.ml checks Andersen's sets against
+   Steensgaard's on it. *)
 
 open Srp_ir
 
@@ -46,14 +47,6 @@ let fresh_anon t =
   node t (K_anon id)
 
 let count t = t.count
-
-(* Decode a node id back to a location, if it denotes memory. *)
-let location_of_node t id =
-  let key = List.nth t.keys (t.count - 1 - id) in
-  match key with
-  | K_sym sid -> Some (Location.Sym (Hashtbl.find t.sym_of_id sid))
-  | K_heap site -> Some (Location.Heap site)
-  | K_temp _ | K_ret _ | K_anon _ -> None
 
 (* All (node id, location) pairs. *)
 let memory_nodes t =

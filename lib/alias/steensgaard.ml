@@ -170,12 +170,3 @@ let points_to_of_node (t : t) node : Location.Set.t =
 
 let points_to_of_temp (t : t) ~func tmp =
   points_to_of_node t (Node_env.node_of_temp t.env ~func tmp)
-
-(* Class id of the pointer value in a temp — used as a virtual-variable
-   fallback key for address temps with no recognizable origin. *)
-let class_of_temp (t : t) ~func tmp =
-  let n = reg t (Node_env.node_of_temp t.env ~func tmp) in
-  let r = Srp_support.Union_find.find t.uf n in
-  match Hashtbl.find_opt t.alpha r with
-  | Some target -> Srp_support.Union_find.find t.uf (reg t target)
-  | None -> r

@@ -71,5 +71,3 @@ val alat_cascade : profile:Srp_profile.Alias_profile.t -> t
 
 (** ALAT speculation from static heuristics only (no profile). *)
 val alat_heuristic : t
-
-val pp_style : Format.formatter -> check_style -> unit

@@ -39,8 +39,6 @@ let equal_key a b =
      | Ops.Reg t1, Ops.Reg t2 -> Temp.equal t1 t2
      | Ops.Sym _, Ops.Reg _ | Ops.Reg _, Ops.Sym _ -> false)
 
-let pp_key ppf k = Fmt.pf ppf "%a.%a" Ops.pp_addr (addr_of_key k) Mem_ty.pp k.mty
-
 (* Occurrence events for one expression, in program order within a block.
    [idx] is the instruction index within the block.
 

@@ -17,9 +17,8 @@
    immutable artifact that any number of builds can share — the bench
    sweep lowers each source once and `srp serve` shares train profiles
    across a batch.  The original monolithic path survives unchanged as
-   [*_monolithic]: it is the reference the differential tests (and the
-   `srp run --no-cache` ablation) hold the staged path bit-identical
-   against. *)
+   [*_monolithic]: it is the reference the differential tests hold the
+   staged path bit-identical against. *)
 
 open Srp_ir
 module Alias_profile = Srp_profile.Alias_profile
@@ -379,8 +378,7 @@ let profile_compile_run ?fuel ?trace ?timeline ?cache ?ablations ?layout
 
    Kept verbatim as the reference implementation: the staged/cached path
    must stay bit-identical to it — output, exit code and every machine
-   counter — which the differential tests and the `srp run --no-cache`
-   ablation enforce. *)
+   counter — which the differential tests enforce. *)
 
 let train_profile_monolithic (w : Workload.t) : Alias_profile.t =
   Srp_obs.Stats.time ~pass:"profile" "train_interp" @@ fun () ->

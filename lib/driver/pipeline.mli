@@ -8,7 +8,7 @@
     profile across a whole batch.  The seed's monolithic path survives as
     the [*_monolithic] reference implementations: the staged path is held
     bit-identical to them (output, exit code, every machine counter) by
-    the differential tests and by [srp run --no-cache]. *)
+    the differential tests. *)
 
 open Srp_ir
 
@@ -143,8 +143,7 @@ val profile_compile_run :
 (** {1 The seed monolithic path}
 
     The original single-function pipeline, kept verbatim as the reference
-    the staged path is differentially tested against, and as the
-    [srp run --no-cache] implementation. *)
+    the staged path is differentially tested against. *)
 
 val train_profile_monolithic : Workload.t -> Srp_profile.Alias_profile.t
 

@@ -10,8 +10,6 @@ type pos = { line : int; col : int }
 
 let no_pos = { line = 0; col = 0 }
 
-let pp_pos ppf p = Fmt.pf ppf "%d:%d" p.line p.col
-
 type ty =
   | Tint
   | Tdouble

@@ -101,21 +101,3 @@ let compute ~(mgr : Manager.t) ~(modref : Modref.t) ~(policy : Spec_policy.t)
         blk.Block.instrs)
     (Func.blocks f);
   { table; func = f }
-
-(* Does this instruction may-define [loc] (via chi)?  Returns
-   [`No | `Chi of bool] where the bool is the speculative flag. *)
-let chi_on t pos loc =
-  let a = get t pos in
-  match List.find_opt (fun e -> Location.equal e.loc loc) a.chi with
-  | Some e -> `Chi e.spec
-  | None -> `No
-
-let pp_ann ppf a =
-  let pp_eff kind ppf e =
-    Fmt.pf ppf "%s%s(%a)" kind (if e.spec then "_s" else "") Location.pp e.loc
-  in
-  Fmt.pf ppf "%a %a"
-    (Srp_support.Pp_util.pp_list ~sep:" " (pp_eff "chi"))
-    a.chi
-    (Srp_support.Pp_util.pp_list ~sep:" " (pp_eff "mu"))
-    a.mu

@@ -41,8 +41,6 @@ val store_may_touch : t -> site:Site.t -> n_targets:int -> Srp_alias.Location.t 
     [call_conflict_prob > 0]. *)
 val call_may_touch : t -> callee:string -> site:Site.t -> Srp_alias.Location.t -> bool
 
-val is_profiled : t -> bool
-
 (** Latency class of a promoted load, the benefit side of the pressure
     cost model: integer loads are L1 hits (2 cycles on the modeled
     machine), floating-point loads bypass L1 (9 cycles). *)

@@ -289,6 +289,68 @@ let test_soundness_kernels () =
         (Srp_ir.Program.funcs prog))
     (Srp_workloads.Registry.all ())
 
+(* Andersen's inclusion solution is contained in Steensgaard's unification
+   solution for every temp: both analyses generate their constraints from
+   the same instructions over the same node table, and every inclusion
+   Andersen propagates along a copy, address-of, load, store, call or
+   return edge is an equality Steensgaard unifies.  The manager therefore
+   answers with Andersen's set alone; this pins that its answer equals the
+   ORC-style composition (Andersen ∩ Steensgaard, then the type filter)
+   for every temp of every function, at both cell types. *)
+let check_containment ~what (prog : Srp_ir.Program.t) =
+  let an = Andersen.run prog in
+  let st = Steensgaard.run prog in
+  let mgr = Manager.build prog in
+  List.iter
+    (fun f ->
+      let func = Srp_ir.Func.name f in
+      let temps = ref Srp_ir.Temp.Set.empty in
+      let add ts = temps := List.fold_right Srp_ir.Temp.Set.add ts !temps in
+      Srp_ir.Func.iter_instrs
+        (fun _ ins -> add (Srp_ir.Instr.defs ins); add (Srp_ir.Instr.uses ins))
+        f;
+      List.iter
+        (fun blk -> add (Srp_ir.Instr.term_uses blk.Srp_ir.Block.term))
+        (Srp_ir.Func.blocks f);
+      Srp_ir.Temp.Set.iter
+        (fun tmp ->
+          let pa = Andersen.points_to_of_temp an ~func tmp in
+          let ps = Steensgaard.points_to_of_temp st ~func tmp in
+          if not (Location.Set.subset pa ps) then
+            Alcotest.failf "%s: %s %a: andersen {%a} not within steensgaard {%a}"
+              what func Srp_ir.Temp.pp tmp
+              (Srp_support.Pp_util.pp_list Location.pp) (Location.Set.elements pa)
+              (Srp_support.Pp_util.pp_list Location.pp) (Location.Set.elements ps);
+          List.iter
+            (fun mty ->
+              let composed =
+                Srp_alias.Type_filter.filter ~access_mty:mty (Location.Set.inter pa ps)
+              in
+              if not (Location.Set.equal (Manager.points_to mgr ~func ~mty tmp) composed)
+              then
+                Alcotest.failf "%s: %s %a: manager differs from the composition at %a"
+                  what func Srp_ir.Temp.pp tmp Srp_ir.Mem_ty.pp mty)
+            [ Srp_ir.Mem_ty.I64; Srp_ir.Mem_ty.F64 ])
+        !temps)
+    (Srp_ir.Program.funcs prog)
+
+(* Every kernel, as lowered and after ALAT promotion under its train
+   profile (promotion manufactures the multi-def temps and checks later
+   rounds query). *)
+let test_containment_kernels () =
+  List.iter
+    (fun (w : Srp_driver.Workload.t) ->
+      let name = w.Srp_driver.Workload.name in
+      let prog = compile w.Srp_driver.Workload.source in
+      Srp_driver.Workload.apply_input prog w.Srp_driver.Workload.train;
+      check_containment ~what:(name ^ " lowered") prog;
+      let interp = Srp_profile.Interp.create prog in
+      ignore (Srp_profile.Interp.run interp);
+      let profile = Srp_profile.Interp.profile interp in
+      ignore (Srp_core.Promote.run ~config:(Srp_core.Config.alat ~profile) prog);
+      check_containment ~what:(name ^ " promoted") prog)
+    (Srp_workloads.Registry.all ())
+
 let suite =
   [ Alcotest.test_case "steensgaard two targets" `Quick test_steensgaard_two_targets;
     Alcotest.test_case "andersen two targets" `Quick test_andersen_two_targets;
@@ -300,4 +362,6 @@ let suite =
     Alcotest.test_case "mod/ref recursion" `Quick test_modref_recursion;
     Alcotest.test_case "mod/ref hides private locals" `Quick test_modref_private_locals_hidden;
     Alcotest.test_case "static soundness vs dynamic profile" `Quick test_soundness_vs_profile;
-    Alcotest.test_case "soundness on all kernels (train)" `Slow test_soundness_kernels ]
+    Alcotest.test_case "soundness on all kernels (train)" `Slow test_soundness_kernels;
+    Alcotest.test_case "andersen within steensgaard on all kernels" `Slow
+      test_containment_kernels ]

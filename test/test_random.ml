@@ -68,7 +68,9 @@ let run_seed seed =
     (level_configs profile);
   (* conservative promotion must also be interpretable *)
   let prog = Srp_frontend.Lower.compile_source src in
+  Test_alias.check_containment ~what:(Fmt.str "seed %d" seed) prog;
   ignore (Promote.run ~config:Config.conservative prog);
+  Test_alias.check_containment ~what:(Fmt.str "seed %d promoted" seed) prog;
   let _, out2, _ = Srp_profile.Interp.run_program ~collect_profile:false prog in
   if out2 <> out then Alcotest.failf "conservative interp diverged for seed %d" seed
 

@@ -15,6 +15,7 @@ let () =
       ("bundle", Test_bundle.suite);
       ("sched", Test_sched.suite);
       ("machine", Test_machine.suite);
+      ("golden", Test_machine.golden_suite);
       ("random", Test_random.suite);
       ("obs", Test_obs.suite);
       ("span", Test_span.suite);

@@ -13,7 +13,9 @@ let interp_reference src =
   let code, out, profile = Srp_profile.Interp.run_program prog in
   (code, out, profile)
 
-let machine_run ?(layout = true) ?(sched = true) ?(bundle = true)
+(* The target program [run_seed] simulates for one level: the source
+   lowered, promoted under [config] (none = O0) and compiled. *)
+let compile_target ?(layout = true) ?(sched = true) ?(bundle = true)
     ?(split = true) ?(pressure = false) ?(prob = true) src config =
   let prog = Srp_frontend.Lower.compile_source src in
   (match config with
@@ -33,7 +35,12 @@ let machine_run ?(layout = true) ?(sched = true) ?(bundle = true)
     if split then Srp_target.Regalloc.default_policy
     else Srp_target.Regalloc.closed_policy
   in
-  let tgt = Srp_target.Codegen.gen_program ~layout ~sched ~bundle ~ra prog in
+  Srp_target.Codegen.gen_program ~layout ~sched ~bundle ~ra prog
+
+let machine_run ?layout ?sched ?bundle ?split ?pressure ?prob src config =
+  let tgt =
+    compile_target ?layout ?sched ?bundle ?split ?pressure ?prob src config
+  in
   let code, out, _ = Srp_machine.Machine.run_program ~fuel:50_000_000 tgt in
   (code, out)
 

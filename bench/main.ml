@@ -177,10 +177,41 @@ let () =
            let alat = Srp_machine.Alat.create () in
            for i = 0 to 9_999 do
              let tag = Srp_machine.Alat.int_tag ~frame:(i land 7) (i land 31) in
-             ignore (Srp_machine.Alat.insert alat tag (Int64.of_int (i * 8)));
+             ignore (Srp_machine.Alat.insert alat tag (i * 8) ~site:(-1));
              ignore (Srp_machine.Alat.check alat tag ~clear:false);
-             ignore (Srp_machine.Alat.store_probe alat (Int64.of_int ((i * 24) land 0xffff)))
+             ignore (Srp_machine.Alat.store_probe alat ((i * 24) land 0xffff))
            done))
+  in
+  (* the simulator and the interpreter on one fixed small loop: a
+     machine run includes Machine.create (decoding), an interpreter run
+     Interp.create (globals placement) *)
+  let loop_source =
+    {|
+int a[64];
+int main() {
+  int i; int s = 0;
+  for (i = 0; i < 2000; i = i + 1) {
+    a[i % 64] = a[(i + 7) % 64] + i;
+    s = s + a[i % 64];
+  }
+  print_int(s);
+  return 0;
+}
+|}
+  in
+  let test_machine_run =
+    Test.make ~name:"machine: Machine.run (2000-iteration loop)"
+      (Staged.stage
+         (let target =
+            Srp_target.Codegen.gen_program (Srp_frontend.Lower.compile_source loop_source)
+          in
+          fun () -> ignore (Srp_machine.Machine.run (Srp_machine.Machine.create target))))
+  in
+  let test_interp_run =
+    Test.make ~name:"profile: Interp.run (2000-iteration loop)"
+      (Staged.stage
+         (let p = Srp_frontend.Lower.compile_source loop_source in
+          fun () -> ignore (Srp_profile.Interp.run (Srp_profile.Interp.create p))))
   in
   let benchmark test =
     let instances = [ Toolkit.Instance.monotonic_clock ] in
@@ -200,5 +231,6 @@ let () =
   in
   List.iter
     (fun t -> benchmark t)
-    [ test_parse; test_steens; test_andersen; test_promote; test_codegen; test_alat ];
+    [ test_parse; test_steens; test_andersen; test_promote; test_codegen; test_alat;
+      test_machine_run; test_interp_run ];
   Fmt.pr "@.total bench time: %.1fs@." (Unix.gettimeofday () -. t0)

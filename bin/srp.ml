@@ -26,6 +26,53 @@ let read_file path =
   close_in ic;
   s
 
+(* --- user errors ---
+
+   A mistake in the user's program ends the command with one line on
+   stderr, [srp: FILE:LINE:COL: message] (the position where the error
+   has one), and one of these exit codes.  They sit just below
+   cmdliner's own 123-125; [srp run] otherwise exits with the program's
+   own exit value, which shares the 0-255 range. *)
+let exit_rejected = 120
+let exit_faulted = 121
+let exit_fuel = 122
+
+let error_exits =
+  Cmd.Exit.info exit_rejected
+    ~doc:"the program was rejected: a lexical, syntax, type or lowering error."
+  :: Cmd.Exit.info exit_faulted
+       ~doc:"the program faulted while running: a wild or unaligned access, a \
+             division by zero, or a machine error."
+  :: Cmd.Exit.info exit_fuel ~doc:"the program ran out of fuel (a runaway loop)."
+  :: Cmd.Exit.defaults
+
+let user_error file (e : exn) =
+  let at (p : Srp_frontend.Ast.pos) msg =
+    if p.Srp_frontend.Ast.line > 0 then
+      Fmt.str "%s:%d:%d: %s" file p.Srp_frontend.Ast.line p.Srp_frontend.Ast.col msg
+    else Fmt.str "%s: %s" file msg
+  in
+  match e with
+  | Srp_frontend.Lexer.Lex_error (msg, p) -> Some (exit_rejected, at p msg)
+  | Srp_frontend.Parser.Parse_error (msg, p) -> Some (exit_rejected, at p msg)
+  | Srp_frontend.Typecheck.Type_error (msg, p) -> Some (exit_rejected, at p msg)
+  | Srp_frontend.Lower.Lower_error msg -> Some (exit_rejected, Fmt.str "%s: %s" file msg)
+  | Srp_profile.Value.Interp_error msg | Srp_machine.Machine.Machine_error msg ->
+    Some (exit_faulted, Fmt.str "%s: %s" file msg)
+  | Srp_machine.Machine.Out_of_fuel | Srp_profile.Interp.Out_of_fuel ->
+    Some (exit_fuel, Fmt.str "%s: out of fuel" file)
+  | _ -> None
+
+(* Run a command over [file], turning user errors into their exit code. *)
+let guard file f =
+  try f ()
+  with e -> (
+    match user_error file e with
+    | Some (code, msg) ->
+      Fmt.epr "srp: %s@." msg;
+      exit code
+    | None -> raise e)
+
 let level_conv =
   let parse s =
     match Pipeline.level_of_string s with
@@ -200,6 +247,7 @@ let workload_of_file path =
 let compile_cmd =
   let run file level asm no_layout no_sched no_bundle no_split no_pressure
       no_prob =
+    guard file @@ fun () ->
     let w = workload_of_file file in
     let profile =
       match level with Pipeline.Alat -> Some (Pipeline.train_profile w) | _ -> None
@@ -225,7 +273,9 @@ let compile_cmd =
         s.loads_eliminated_indirect s.checks_inserted s.invala_inserted
     | None -> ())
   in
-  Cmd.v (Cmd.info "compile" ~doc:"compile a MiniC file and dump IR/assembly")
+  Cmd.v
+    (Cmd.info "compile" ~exits:error_exits
+       ~doc:"compile a MiniC file and dump IR/assembly")
     Term.(const run $ file_arg $ level_arg $ asm_arg $ no_layout_arg
           $ no_sched_arg $ no_bundle_arg $ no_split_arg $ no_pressure_arg
           $ no_prob_arg)
@@ -236,6 +286,7 @@ let run_cmd =
       no_prob =
     let w = workload_of_file file in
     let r =
+      guard file @@ fun () ->
       with_spans trace_spans (fun () ->
           with_timeline timeline ~interval:timeline_interval (fun timeline ->
               with_trace trace (fun trace ->
@@ -255,7 +306,14 @@ let run_cmd =
     end;
     exit (Int64.to_int r.Pipeline.exit_code)
   in
-  Cmd.v (Cmd.info "run" ~doc:"compile and execute on the machine simulator")
+  Cmd.v
+    (Cmd.info "run"
+       ~exits:
+         (Cmd.Exit.info 0 ~max:255
+            ~doc:"otherwise: the program's own exit value (main's return \
+                  value, modulo 256)."
+         :: error_exits)
+       ~doc:"compile and execute on the machine simulator")
     Term.(const run $ file_arg $ level_arg $ ablation_arg $ json_arg $ trace_arg
           $ trace_spans_arg $ timeline_arg $ timeline_interval_arg
           $ no_layout_arg $ no_sched_arg $ no_bundle_arg $ no_split_arg
@@ -295,8 +353,11 @@ let profile_cmd =
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"save the profile to FILE")
   in
   let run file out_file =
-    let prog = Srp_frontend.Lower.compile_source (read_file file) in
-    let code, out, profile = Srp_profile.Interp.run_program prog in
+    let code, out, profile =
+      guard file @@ fun () ->
+      Srp_profile.Interp.run_program
+        (Srp_frontend.Lower.compile_source (read_file file))
+    in
     print_string out;
     match out_file with
     | Some path ->
@@ -309,12 +370,13 @@ let profile_cmd =
         Srp_profile.Alias_profile.pp profile
   in
   Cmd.v
-    (Cmd.info "profile"
+    (Cmd.info "profile" ~exits:error_exits
        ~doc:"interpret, print or save the alias profile (-o FILE)")
     Term.(const run $ file_arg $ out_arg)
 
 let ssa_cmd =
   let run file =
+    guard file @@ fun () ->
     let src = read_file file in
     let prog = Srp_frontend.Lower.compile_source src in
     (* profile for the speculative flags *)
@@ -333,7 +395,8 @@ let ssa_cmd =
       (Srp_ir.Program.funcs prog)
   in
   Cmd.v
-    (Cmd.info "ssa" ~doc:"print the speculative memory-SSA form (chi_s/mu_s)")
+    (Cmd.info "ssa" ~exits:error_exits
+       ~doc:"print the speculative memory-SSA form (chi_s/mu_s)")
     Term.(const run $ file_arg)
 
 let bench_cmd =

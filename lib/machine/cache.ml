@@ -12,12 +12,16 @@
    matters. *)
 
 type level = {
-  n_sets : int;
+  set_mask : int; (* sets - 1: the set count is a power of two *)
   ways : int;
   line_shift : int;
-  tags : int array; (* n_sets * ways; -1 = invalid *)
+  tags : int array; (* sets * ways; -1 = invalid *)
   lru : int array; (* smaller = older *)
   mutable tick : int;
+  (* the block the last access touched and its slot: a repeat access to
+     the same line (the common case) is a hit found without a search *)
+  mutable last_block : int;
+  mutable last_slot : int;
 }
 
 let mk_level ~size_bytes ~ways ~line =
@@ -25,32 +29,42 @@ let mk_level ~size_bytes ~ways ~line =
     int_of_float (Float.round (Float.log2 (float_of_int line)))
   in
   let n_sets = size_bytes / (line * ways) in
-  { n_sets; ways; line_shift; tags = Array.make (n_sets * ways) (-1);
-    lru = Array.make (n_sets * ways) 0; tick = 0 }
+  assert (n_sets land (n_sets - 1) = 0);
+  { set_mask = n_sets - 1; ways; line_shift;
+    tags = Array.make (n_sets * ways) (-1);
+    lru = Array.make (n_sets * ways) 0; tick = 0; last_block = -1; last_slot = 0 }
 
-(* Access a level; true = hit.  Always allocates on miss. *)
-let access_level l (addr : int64) : bool =
-  let block = Int64.to_int (Int64.shift_right_logical addr l.line_shift) in
-  let set = block mod l.n_sets in
-  let base = set * l.ways in
+(* Access a level; true = hit.  Always allocates on miss, into the least
+   recently used way (the lowest-numbered one among ties). *)
+let access_level l (addr : int) : bool =
+  let block = addr lsr l.line_shift in
   l.tick <- l.tick + 1;
-  let hit = ref false in
-  for i = base to base + l.ways - 1 do
-    if l.tags.(i) = block then begin
-      hit := true;
-      l.lru.(i) <- l.tick
-    end
-  done;
-  if not !hit then begin
-    (* victim: LRU way *)
-    let victim = ref base in
-    for i = base to base + l.ways - 1 do
-      if l.lru.(i) < l.lru.(!victim) then victim := i
-    done;
-    l.tags.(!victim) <- block;
-    l.lru.(!victim) <- l.tick
-  end;
-  !hit
+  if block = l.last_block then begin
+    l.lru.(l.last_slot) <- l.tick;
+    true
+  end
+  else begin
+    let base = (block land l.set_mask) * l.ways in
+    let stop = base + l.ways in
+    let i = ref base in
+    while !i < stop && l.tags.(!i) <> block do incr i done;
+    let hit = !i < stop in
+    let slot =
+      if hit then !i
+      else begin
+        let victim = ref base in
+        for i = base + 1 to stop - 1 do
+          if l.lru.(i) < l.lru.(!victim) then victim := i
+        done;
+        l.tags.(!victim) <- block;
+        !victim
+      end
+    in
+    l.lru.(slot) <- l.tick;
+    l.last_block <- block;
+    l.last_slot <- slot;
+    hit
+  end
 
 type t = { l1 : level; l2 : level }
 
@@ -61,7 +75,7 @@ let create () =
 module Timing = Srp_ir.Timing
 
 (* Latency of a load; updates both levels and the counters. *)
-let load_latency t (c : Counters.t) ~(fp : bool) (addr : int64) : int =
+let load_latency t (c : Counters.t) ~(fp : bool) (addr : int) : int =
   let l1_hit = access_level t.l1 addr in
   if l1_hit && not fp then begin
     c.Counters.l1_hits <- c.Counters.l1_hits + 1;
@@ -79,6 +93,6 @@ let load_latency t (c : Counters.t) ~(fp : bool) (addr : int64) : int =
   end
 
 (* Stores refresh the line state; their latency is hidden. *)
-let store_touch t (addr : int64) : unit =
+let store_touch t (addr : int) : unit =
   ignore (access_level t.l1 addr);
   ignore (access_level t.l2 addr)

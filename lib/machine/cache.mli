@@ -11,10 +11,10 @@ type t
 (** 16 KiB 4-way L1, 256 KiB 8-way L2, 64-byte lines, LRU. *)
 val create : unit -> t
 
-(** Latency of a load at an address; allocates lines and updates the hit
-    and miss counters. *)
-val load_latency : t -> Counters.t -> fp:bool -> int64 -> int
+(** Latency of a load at a byte address; allocates lines and updates the
+    hit and miss counters. *)
+val load_latency : t -> Counters.t -> fp:bool -> int -> int
 
 (** A store refreshes line state; its own latency is hidden (store
     buffering). *)
-val store_touch : t -> int64 -> unit
+val store_touch : t -> int -> unit

@@ -53,48 +53,69 @@ let event_name = function
   | Branch_mispredicts -> "branch_mispredicts"
   | Split_stalls -> "split_stalls"
 
-(* site id -> event count vector.  Site -1 is the synthetic site codegen
-   uses for spill traffic it manufactures itself. *)
-type t = (int, int array) Hashtbl.t
+(* site id -> event count vector, dense: the row of site [s] sits at
+   index [2s] for [s >= 0] and [-2s - 1] below (site -1 is the synthetic
+   site codegen uses for spill traffic it manufactures itself).  A site
+   has a row once it has had an event; [no_row] marks the others. *)
+type t = { mutable rows : int array array }
 
-let create () : t = Hashtbl.create 64
+let no_row = [||]
+
+let create () : t = { rows = Array.make 64 no_row }
+
+let index site = if site >= 0 then 2 * site else (-2 * site) - 1
+let site_of_index i = if i land 1 = 0 then i / 2 else -((i + 1) / 2)
+
+let row_opt (t : t) ~site =
+  let i = index site in
+  if i < Array.length t.rows && t.rows.(i) != no_row then Some t.rows.(i)
+  else None
+
+let[@inline never] new_row (t : t) i =
+  if i >= Array.length t.rows then begin
+    let rows = Array.make (max (i + 1) (2 * Array.length t.rows)) no_row in
+    Array.blit t.rows 0 rows 0 (Array.length t.rows);
+    t.rows <- rows
+  end;
+  let r = Array.make n_events 0 in
+  t.rows.(i) <- r;
+  r
 
 let record (t : t) ~site ev =
+  let i = index site in
   let row =
-    match Hashtbl.find_opt t site with
-    | Some r -> r
-    | None ->
-      let r = Array.make n_events 0 in
-      Hashtbl.replace t site r;
-      r
+    if i < Array.length t.rows && t.rows.(i) != no_row then t.rows.(i)
+    else new_row t i
   in
-  let i = event_index ev in
-  row.(i) <- row.(i) + 1
+  let e = event_index ev in
+  row.(e) <- row.(e) + 1
 
 let count (t : t) ~site ev =
-  match Hashtbl.find_opt t site with
-  | Some r -> r.(event_index ev)
-  | None -> 0
+  match row_opt t ~site with Some r -> r.(event_index ev) | None -> 0
+
+(* (site, row) for every site with a row, ascending by site *)
+let rows (t : t) =
+  let acc = ref [] in
+  Array.iteri (fun i r -> if r != no_row then acc := (site_of_index i, r) :: !acc) t.rows;
+  List.sort (fun (a, _) (b, _) -> compare a b) !acc
 
 let total (t : t) ev =
   let i = event_index ev in
-  Hashtbl.fold (fun _ r acc -> acc + r.(i)) t 0
+  Array.fold_left (fun acc r -> if r != no_row then acc + r.(i) else acc) 0 t.rows
 
-let sites (t : t) = Hashtbl.fold (fun s _ acc -> s :: acc) t [] |> List.sort compare
+let sites (t : t) = List.map fst (rows t)
 
 (* Sites ranked by [ev], descending; ties by site id for determinism. *)
 let top (t : t) ev ~n =
   let i = event_index ev in
-  Hashtbl.fold (fun s r acc -> if r.(i) > 0 then (s, r.(i)) :: acc else acc) t []
-  |> List.sort (fun (s1, c1) (s2, c2) ->
-         if c1 <> c2 then compare c2 c1 else compare s1 s2)
+  List.filter_map (fun (s, r) -> if r.(i) > 0 then Some (s, r.(i)) else None) (rows t)
+  |> List.stable_sort (fun (_, c1) (_, c2) -> compare c2 c1)
   |> List.filteri (fun k _ -> k < n)
 
 let to_json (t : t) : Json.t =
   Json.Arr
     (List.map
-       (fun s ->
-         let r = Hashtbl.find t s in
+       (fun (s, r) ->
          Json.Obj
            (("site", Json.Int s)
            :: List.concat_map
@@ -102,7 +123,7 @@ let to_json (t : t) : Json.t =
                   let c = r.(event_index ev) in
                   if c = 0 then [] else [ (event_name ev, Json.Int c) ])
                 all_events))
-       (sites t))
+       (rows t))
 
 (* The "top mis-speculating sites" report: sites whose checks failed, with
    their check volume and failure rate — what pfmon event sampling would

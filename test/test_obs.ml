@@ -601,6 +601,36 @@ let test_cli_unknown_level () =
       Pipeline.all_levels
   end
 
+(* A user mistake in the program is one [srp: FILE:LINE:COL: message]
+   line and a documented exit code, never an uncaught exception.
+   [expect] is the exit code and the text after the file name. *)
+let test_cli_user_error ~src ~code ~expect () =
+  let bin = Filename.concat (Filename.concat ".." "bin") "srp.exe" in
+  if not (Sys.file_exists bin) then ()
+  else begin
+    let file = Filename.temp_file "srp_obs_cli" ".minic" in
+    let err = Filename.temp_file "srp_obs_cli" ".err" in
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.remove file;
+        Sys.remove err)
+    @@ fun () ->
+    let oc = open_out file in
+    output_string oc src;
+    close_out oc;
+    let rc =
+      Sys.command
+        (Fmt.str "%s run %s >/dev/null 2>%s" (Filename.quote bin)
+           (Filename.quote file) (Filename.quote err))
+    in
+    let ic = open_in_bin err in
+    let msg = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Alcotest.(check int) "exit code" code rc;
+    Alcotest.(check string) "one structured line"
+      (Fmt.str "srp: %s%s\n" file expect) msg
+  end
+
 let suite =
   [ Alcotest.test_case "json: round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json: special floats" `Quick test_json_special_floats;
@@ -643,4 +673,13 @@ let suite =
       test_bench_json_roundtrip;
     Alcotest.test_case "cli: srp run --json" `Quick test_cli_run_json;
     Alcotest.test_case "cli: unknown level lists levels" `Quick
-      test_cli_unknown_level ]
+      test_cli_unknown_level;
+    Alcotest.test_case "cli: syntax error" `Quick
+      (test_cli_user_error ~src:"int main() {\n  return 1 +;\n}\n" ~code:120
+         ~expect:":2:13: expected expression, found ';'");
+    Alcotest.test_case "cli: type error" `Quick
+      (test_cli_user_error ~src:"int main() {\n  return y;\n}\n" ~code:120
+         ~expect:":2:10: unknown variable y");
+    Alcotest.test_case "cli: wild access" `Quick
+      (test_cli_user_error ~src:"int main() { int* p = 0; return p[0]; }\n"
+         ~code:121 ~expect:": wild access at 0x0") ]
